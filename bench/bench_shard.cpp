@@ -1,10 +1,10 @@
 // Bench: sharded engine (ShardedTraceStore + partitioned DataCube fold +
-// per-shard MeasureCache schedule) vs the single-store manager over the
-// same workloads.
+// per-shard MeasureCache schedule) at S > 1 vs the default S = 1 manager
+// over the same workloads.
 //
 // Each configuration attaches one sliding-window session to a
-// SessionManager — monolithic, or spanning S ∈ {2, 4, 8} resource shards —
-// and pays the same two costs the sharding tentpole targets: the initial
+// SessionManager — the default one over a plain TraceStore (S = 1), or one
+// spanning S ∈ {2, 4, 8} resource shards — and pays the same two costs the sharding tentpole targets: the initial
 // cache build (model + cube fold + measure cache + first DP sweep, timed
 // by add_session) and a series of live advance rounds (ingest + seal +
 // refold + incremental DP, timed by slide_all).  Workloads: a >= 256-leaf
@@ -13,7 +13,7 @@
 //
 // Results are gated bit-identical across every shard count (the oracle of
 // tests/test_shard.cpp re-checked at bench scale).  Acceptance bar:
-// sharded cache build + advance >= 1.5x the single store at S = 4 — active
+// sharded cache build + advance >= 1.5x the S = 1 manager at S = 4 — active
 // on >= 6 hardware threads (per-shard work must actually parallelize),
 // reported-but-waived below that, like BENCH_ingest's pipeline bar.
 //
@@ -70,7 +70,7 @@ struct Workload {
 
 /// One manager configuration measured end to end.
 struct ConfigTiming {
-  std::size_t shards = 0;  ///< 0 = monolithic single store
+  std::size_t shards = 1;
   double build_s = 0.0;    ///< add_session: model + cube + cache + first DP
   double advance_s = 0.0;  ///< all ingest + slide rounds
   double cache_build_s = 0.0;  ///< the measure-cache share of build_s
@@ -87,8 +87,9 @@ ConfigTiming run_config(const Workload& w, std::size_t shards, TimeNs horizon,
 
   TraceSplit split = split_trace_at(w.whole, horizon);
   split.initial.seal();
+  // S = 1 is the constructor users get: the plain store as the only shard.
   std::unique_ptr<SessionManager> manager;
-  if (shards == 0) {
+  if (shards == 1) {
     manager = std::make_unique<SessionManager>(w.hierarchy,
                                                split.initial.store());
   } else {
@@ -133,7 +134,7 @@ ConfigTiming run_config(const Workload& w, std::size_t shards, TimeNs horizon,
 int run(int argc, const char* const* argv) {
   Cli cli("bench_shard",
           "sharded engine (per-shard stores + partitioned DP fold) vs the "
-          "single-store manager: cache build + advance wall time over a "
+          "default S = 1 manager: cache build + advance wall time over a "
           "256-leaf synthetic platform and the NAS-LU workload, gated "
           "bit-identical at every shard count");
   cli.option("slices", "", "window slice count |T| (default 32, smoke 24)");
@@ -231,7 +232,7 @@ int run(int argc, const char* const* argv) {
     std::string name;
     std::size_t leaves = 0;
     std::uint64_t events = 0;
-    ConfigTiming mono;
+    ConfigTiming base;
     std::vector<ConfigTiming> sharded;
   };
   std::vector<WorkloadReport> reports;
@@ -244,17 +245,17 @@ int run(int argc, const char* const* argv) {
     std::printf("--- %s: %zu leaves, %.2f M events ---\n", w.name.c_str(),
                 rep.leaves, static_cast<double>(rep.events) / 1e6);
 
-    rep.mono = run_config(w, 0, horizon, window, ps, rounds, dt);
-    std::printf("  single store : build %7.1f ms + advance %7.1f ms = "
+    rep.base = run_config(w, 1, horizon, window, ps, rounds, dt);
+    std::printf("  S = 1 shard : build %7.1f ms + advance %7.1f ms = "
                 "%7.1f ms\n",
-                rep.mono.build_s * 1e3, rep.mono.advance_s * 1e3,
-                rep.mono.total_s() * 1e3);
+                rep.base.build_s * 1e3, rep.base.advance_s * 1e3,
+                rep.base.total_s() * 1e3);
     for (const std::size_t s : shard_counts) {
       ConfigTiming t = run_config(w, s, horizon, window, ps, rounds, dt);
-      const double speedup = rep.mono.total_s() / std::max(t.total_s(), 1e-12);
-      bool identical = t.rounds.size() == rep.mono.rounds.size();
+      const double speedup = rep.base.total_s() / std::max(t.total_s(), 1e-12);
+      bool identical = t.rounds.size() == rep.base.rounds.size();
       for (std::size_t k = 0; identical && k < t.rounds.size(); ++k) {
-        identical = results_equal(t.rounds[k], rep.mono.rounds[k]);
+        identical = results_equal(t.rounds[k], rep.base.rounds[k]);
       }
       all_identical = all_identical && identical;
       if (s == 4) min_s4_speedup = std::min(min_s4_speedup, speedup);
@@ -335,10 +336,10 @@ int run(int argc, const char* const* argv) {
       out << "    {\n      \"name\": \"" << rep.name << "\",\n";
       out << "      \"leaves\": " << rep.leaves << ",\n";
       out << "      \"events\": " << rep.events << ",\n";
-      std::snprintf(buf, sizeof buf, "%.6g", rep.mono.total_s());
-      out << "      \"single_store_s\": " << buf << ",\n";
-      std::snprintf(buf, sizeof buf, "%.6g", rep.mono.cache_build_s);
-      out << "      \"single_store_cache_build_s\": " << buf << ",\n";
+      std::snprintf(buf, sizeof buf, "%.6g", rep.base.total_s());
+      out << "      \"s1_total_s\": " << buf << ",\n";
+      std::snprintf(buf, sizeof buf, "%.6g", rep.base.cache_build_s);
+      out << "      \"s1_cache_build_s\": " << buf << ",\n";
       out << "      \"sharded\": [\n";
       for (std::size_t k = 0; k < rep.sharded.size(); ++k) {
         const ConfigTiming& t = rep.sharded[k];
@@ -348,7 +349,7 @@ int run(int argc, const char* const* argv) {
         std::snprintf(buf, sizeof buf, "%.6g", t.cache_build_s);
         out << buf << ", \"speedup\": ";
         std::snprintf(buf, sizeof buf, "%.6g",
-                      rep.mono.total_s() / std::max(t.total_s(), 1e-12));
+                      rep.base.total_s() / std::max(t.total_s(), 1e-12));
         out << buf << "}";
         out << (k + 1 < rep.sharded.size() ? ",\n" : "\n");
       }

@@ -40,8 +40,8 @@ IngestPipeline::IngestPipeline(SessionManager& manager,
       1, options_.max_batch_records);
   // Freeze the name tables: parse workers resolve against pipeline-owned
   // maps, so they never touch the store while the seal worker appends.
-  // The manager-level accessors yield *global* ids, identical for single
-  // and sharded stores (a sharded manager's store() is only shard 0).
+  // The manager-level accessors yield *global* ids at every shard count
+  // (a manager's store() is only shard 0).
   resource_ids_.reserve(manager_.resource_count());
   for (std::size_t r = 0; r < manager_.resource_count(); ++r) {
     resource_ids_.emplace(manager_.resource_path(static_cast<ResourceId>(r)),
@@ -356,25 +356,25 @@ void IngestPipeline::submit_records(std::vector<EventRecord> records) {
   if (records.empty()) return;
   const std::size_t total = records.size();
   const std::size_t shards = options_.parse_workers;
-  const ShardedTraceStore* sharded = manager_.sharded_store().get();
-  if (sharded != nullptr && shards > 1) {
+  const ShardedTraceStore& store = *manager_.sharded_store();
+  if (store.shard_count() > 1 && shards > 1) {
     // Parse-shard -> store-shard affinity: group the batch by owning
     // store shard so each parse worker's batches hold one store shard's
     // records and the facade's bucketed append parallelizes S-wide with
-    // no cross-shard scatter.  The grouping is a stable partition, so
+    // no cross-shard scatter (at S = 1 it would starve all but worker 0).  The grouping is a stable partition, so
     // per-resource order is preserved end to end (chunks re-sort at seal
     // anyway — results are bit-identical to the contiguous split).
     std::vector<std::vector<EventRecord>> groups(shards);
     for (const EventRecord& rec : records) {
       if (rec.resource < 0 ||
           static_cast<std::size_t>(rec.resource) >=
-              sharded->resource_count()) {
+              store.resource_count()) {
         throw InvalidArgument(
             "ingest pipeline: record resource id " +
             std::to_string(rec.resource) +
             " is outside the frozen resource table");
       }
-      groups[sharded->shard_of(rec.resource) % shards].push_back(rec);
+      groups[store.shard_of(rec.resource) % shards].push_back(rec);
     }
     for (std::size_t i = 0; i < shards; ++i) {
       if (groups[i].empty()) continue;

@@ -1,7 +1,12 @@
 // SessionManager: N concurrent sliding-window analyses over ONE immutable
-// chunked TraceStore — the multi-view server shape of the paper's
-// workflow, where an analyst probes the same execution at several windows,
+// chunked store — the multi-view server shape of the paper's workflow,
+// where an analyst probes the same execution at several windows,
 // hierarchy scopes and trade-off parameters at once.
+//
+// The store is always a ShardedTraceStore: a plain TraceStore handed to
+// the manager becomes the only shard of an S = 1 facade (no copy), and a
+// facade over S > 1 shards routes ingest, sealing, eviction and the memory
+// budget per shard.  Results are bit-identical at every shard count.
 //
 // The manager owns the single-writer side of the store: it ingests events
 // into the mutable tails, seals them into immutable chunks before every
@@ -67,19 +72,19 @@ struct SessionSpec {
 class SessionManager {
  public:
   /// Shares `store` (sealed, or with pending tails which are sealed here)
-  /// between the sessions to come.  `hierarchy` is the default scope; it
-  /// must outlive the manager, as must any per-spec hierarchy.
+  /// between the sessions to come, wrapped as the only shard of an S = 1
+  /// facade — store() keeps returning it.  `hierarchy` is the default
+  /// scope; it must outlive the manager, as must any per-spec hierarchy.
   SessionManager(const Hierarchy& hierarchy,
                  std::shared_ptr<TraceStore> store);
 
-  /// Sharded mode: spans the S shards of `sharded` transparently — ingest
-  /// routes per shard, sealing/eviction/compression fan out one task per
-  /// shard, the memory budget splits across shards proportionally to
-  /// their resident bytes (the global cap still holds exactly after every
-  /// round), and sessions attach with global resource ids plus the
-  /// store's ShardPlan for their aggregators.  Results are bit-identical
-  /// to the same events in a single-store manager at every shard count.
-  /// The store's hierarchy must be `hierarchy` (throws otherwise).
+  /// Spans the S shards of `sharded` transparently — ingest routes per
+  /// shard, sealing/eviction/compression fan out one task per shard, the
+  /// memory budget splits across shards proportionally to their resident
+  /// bytes (the global cap still holds exactly after every round), and
+  /// sessions attach with global resource ids (plus, at S > 1, the
+  /// store's ShardPlan for their aggregators).  The store's hierarchy must
+  /// be `hierarchy` (throws otherwise).
   SessionManager(const Hierarchy& hierarchy,
                  std::shared_ptr<ShardedTraceStore> sharded);
 
@@ -168,41 +173,37 @@ class SessionManager {
   /// (and stay bit-identical).
   void ingest_round(TimeNs frontier);
 
-  /// The shared single store — or shard 0 of a sharded manager (whose
-  /// registry mirrors the facade's; use the global accessors below for
-  /// resources).
-  [[nodiscard]] const TraceStore& store() const noexcept { return *store_; }
+  /// Shard 0 of the shared store: the TraceStore passed to the S = 1
+  /// constructor itself.  Under S > 1 its registry mirrors the facade's,
+  /// but resources are shard-local — use the global accessors below.
+  [[nodiscard]] const TraceStore& store() const noexcept {
+    return store_->shard(0);
+  }
   [[nodiscard]] const std::shared_ptr<TraceStore>& store_ptr()
+      const noexcept {
+    return store_->shard_ptr(0);
+  }
+  /// The shared store (never null; S = 1 unless constructed sharded).
+  [[nodiscard]] const std::shared_ptr<ShardedTraceStore>& sharded_store()
       const noexcept {
     return store_;
   }
-  /// The sharded store when the manager spans one; null for the
-  /// single-store ctor.
-  [[nodiscard]] const std::shared_ptr<ShardedTraceStore>& sharded_store()
-      const noexcept {
-    return sharded_;
-  }
 
-  // Global name tables across either store mode — what pipelines freeze
-  // their resolution maps from (store() would expose only shard 0's local
-  // table under a sharded manager).
+  // Global name tables — what pipelines freeze their resolution maps from.
   [[nodiscard]] std::size_t resource_count() const noexcept {
-    return sharded_ != nullptr ? sharded_->resource_count()
-                               : store_->resource_count();
+    return store_->resource_count();
   }
   [[nodiscard]] const std::string& resource_path(ResourceId r) const {
-    return sharded_ != nullptr ? sharded_->resource_path(r)
-                               : store_->resource_path(r);
+    return store_->resource_path(r);
   }
   [[nodiscard]] const StateRegistry& states() const noexcept {
-    return sharded_ != nullptr ? sharded_->states() : store_->states();
+    return store_->states();
   }
 
   /// Payload bytes of the shared store — counted once, however many
   /// sessions read it.
   [[nodiscard]] std::size_t store_bytes() const noexcept {
-    return sharded_ != nullptr ? sharded_->store_bytes()
-                               : store_->store_bytes();
+    return store_->store_bytes();
   }
 
   /// Caps the resident sealed-chunk bytes of the shared store.  When the
@@ -220,19 +221,18 @@ class SessionManager {
   [[nodiscard]] std::size_t memory_budget() const noexcept {
     return memory_budget_;
   }
-  /// Resident (anonymous-heap) split of the shared sealed chunk bytes —
-  /// the number the budget bounds (summed across shards when sharded);
-  /// the rest is file-backed.
+  /// Resident (anonymous-heap) split of the shared sealed chunk bytes,
+  /// summed across shards — the number the budget bounds; the rest is
+  /// file-backed.
   [[nodiscard]] std::size_t resident_chunk_bytes() const noexcept {
-    return sharded_ != nullptr ? sharded_->resident_chunk_bytes()
-                               : store_->resident_chunk_bytes();
+    return store_->resident_chunk_bytes();
   }
   /// Earliest window begin across sessions (the eviction horizon); the
   /// store window begin when no session is attached.
   [[nodiscard]] TimeNs min_window_begin() const noexcept;
 
   /// Structural audit of the manager and its shared store: runs
-  /// TraceStore::audit() and additionally checks the manager's own
+  /// ShardedTraceStore::audit() and additionally checks the manager's own
   /// contracts — the eviction horizon never past the minimum live window
   /// begin (central eviction must not outrun the sessions), and unsealed
   /// tails only ever paired with a tracked staged frontier (a staged event
@@ -251,8 +251,7 @@ class SessionManager {
   /// — per-session SlidingWindowOptions::compression must stay kNone.
   void set_compression(ChunkCompression policy);
   [[nodiscard]] ChunkCompression compression() const noexcept {
-    return sharded_ != nullptr ? sharded_->compression()
-                               : store_->compression();
+    return store_->compression();
   }
 
  private:
@@ -264,11 +263,7 @@ class SessionManager {
   void enforce_memory_budget();
 
   const Hierarchy* hierarchy_;
-  /// The single shared store — or, in sharded mode, shard 0 of sharded_
-  /// (kept so registry reads need no branch; mutations always branch).
-  std::shared_ptr<TraceStore> store_;
-  /// Sharded mode: non-null when the manager spans a ShardedTraceStore.
-  std::shared_ptr<ShardedTraceStore> sharded_;
+  std::shared_ptr<ShardedTraceStore> store_;
   std::vector<std::unique_ptr<SlidingWindowSession>> sessions_;
   /// Min begin of events staged since the last seal (ingest dirty
   /// frontier distributed to sessions at the next advance).

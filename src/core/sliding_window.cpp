@@ -26,16 +26,12 @@ TimeGrid make_initial_grid(const TimeGrid& window) {
 /// exclusive session keeps the historical contract that a hierarchy/trace
 /// resource-count mismatch is an error (map_resources throws), never a
 /// silent subset analysis.  A scoped session requires path matching: leaf
-/// order has no meaning against a larger store.  Works against both store
-/// shapes (TraceStore and the ShardedTraceStore facade — same resource
-/// table contract, global ids).
-template <class Store>
+/// order has no meaning against a larger store.
 std::vector<ResourceId> compute_scope(const Hierarchy& hierarchy,
-                                      const Store& store,
-                                      bool match_by_path,
-                                      StoreOwnership ownership) {
+                                      const ShardedTraceStore& store,
+                                      bool match_by_path, bool exclusive) {
   if (hierarchy.leaf_count() == store.resource_count()) return {};
-  if (ownership == StoreOwnership::kExclusive) return {};
+  if (exclusive) return {};
   if (!match_by_path) {
     throw DimensionError(
         "session scope: a hierarchy covering a subset of store resources "
@@ -56,18 +52,17 @@ std::vector<ResourceId> compute_scope(const Hierarchy& hierarchy,
   return scope;
 }
 
-/// Sharded sessions default their aggregator to the store's ShardPlan
-/// (partitioned cube fold + per-shard cache schedule; bit-identical to the
-/// flat schedule by the cube/cache contracts).  Also the null check: it
-/// must run before any member initializer dereferences the handle.
+/// Sessions over S > 1 shards default their aggregator to the store's
+/// ShardPlan (partitioned cube fold + per-shard cache schedule;
+/// bit-identical to the flat schedule by the cube/cache contracts); at
+/// S = 1 the flat schedule stays.  Also the null check: it must run before
+/// any member initializer dereferences the handle.
 SlidingWindowOptions adopt_shard_plan(
     SlidingWindowOptions options,
-    const std::shared_ptr<const ShardedTraceStore>& sharded) {
-  if (!sharded) {
-    throw InvalidArgument("SlidingWindowSession: null sharded trace store");
-  }
-  if (options.aggregation.shard_plan == nullptr) {
-    options.aggregation.shard_plan = &sharded->plan();
+    const std::shared_ptr<ShardedTraceStore>& store) {
+  if (!store) throw InvalidArgument("SlidingWindowSession: null trace store");
+  if (options.aggregation.shard_plan == nullptr && store->shard_count() > 1) {
+    options.aggregation.shard_plan = &store->plan();
   }
   return options;
 }
@@ -79,25 +74,35 @@ SlidingWindowSession::SlidingWindowSession(const Hierarchy& hierarchy,
                                            std::vector<double> ps,
                                            SlidingWindowOptions options)
     : SlidingWindowSession(hierarchy, trace.store(), window, std::move(ps),
-                           options, StoreOwnership::kExclusive) {}
+                           std::move(options)) {}
 
 SlidingWindowSession::SlidingWindowSession(const Hierarchy& hierarchy,
                                            std::shared_ptr<TraceStore> store,
                                            const TimeGrid& window,
                                            std::vector<double> ps,
-                                           SlidingWindowOptions options,
-                                           StoreOwnership ownership)
+                                           SlidingWindowOptions options)
+    : SlidingWindowSession(
+          hierarchy,
+          std::make_shared<ShardedTraceStore>(hierarchy, std::move(store)),
+          /*exclusive=*/true, window, std::move(ps), std::move(options)) {}
+
+SlidingWindowSession::SlidingWindowSession(
+    const Hierarchy& hierarchy, std::shared_ptr<ShardedTraceStore> store,
+    const TimeGrid& window, std::vector<double> ps,
+    SlidingWindowOptions options)
+    : SlidingWindowSession(hierarchy, std::move(store), /*exclusive=*/false,
+                           window, std::move(ps), std::move(options)) {}
+
+SlidingWindowSession::SlidingWindowSession(
+    const Hierarchy& hierarchy, std::shared_ptr<ShardedTraceStore> store,
+    bool exclusive, const TimeGrid& window, std::vector<double> ps,
+    SlidingWindowOptions options)
     : hierarchy_(&hierarchy),
-      options_(options),
-      store_([&]() -> std::shared_ptr<TraceStore> {
-        if (!store) {
-          throw InvalidArgument("SlidingWindowSession: null trace store");
-        }
-        return std::move(store);
-      }()),
-      ownership_(ownership),
-      scope_(compute_scope(hierarchy, *store_, options.match_by_path,
-                           ownership)),
+      options_(adopt_shard_plan(std::move(options), store)),
+      store_(std::move(store)),
+      exclusive_(exclusive),
+      scope_(compute_scope(hierarchy, *store_, options_.match_by_path,
+                           exclusive_)),
       scope_paths_([&]() -> std::shared_ptr<const std::vector<std::string>> {
         if (scope_.empty()) return nullptr;
         auto paths = std::make_shared<std::vector<std::string>>();
@@ -107,10 +112,10 @@ SlidingWindowSession::SlidingWindowSession(const Hierarchy& hierarchy,
         }
         return paths;
       }()),
-      facade_(store_),
+      facade_(store_->shard_ptr(0)),
       model_([&]() -> MicroscopicModel {
         const TimeGrid grid = make_initial_grid(window);
-        if (ownership_ == StoreOwnership::kExclusive) {
+        if (exclusive_) {
           if (options_.memory_budget_bytes != 0) {
             if (options_.spill_path.empty()) {
               throw InvalidArgument(
@@ -126,9 +131,9 @@ SlidingWindowSession::SlidingWindowSession(const Hierarchy& hierarchy,
           store_->seal_chunk();
           enforce_memory_budget();
         } else {
-          // Attach check: a shared store has one memory policy, owned by
-          // the SessionManager — a per-session budget would let any one
-          // session rewrite chunk backends under all the others.
+          // Attach check: a shared store has one memory and codec policy,
+          // owned by the SessionManager — a per-session knob would let any
+          // one session rewrite chunk backends under all the others.
           if (options_.memory_budget_bytes != 0) {
             throw InvalidArgument(
                 "SlidingWindowSession: memory_budget_bytes is an "
@@ -163,70 +168,8 @@ SlidingWindowSession::SlidingWindowSession(const Hierarchy& hierarchy,
         build.match_by_path = options_.match_by_path;
         build.window_begin = grid.begin();
         build.window_end = grid.end();
-        return build_model(make_view(grid), hierarchy, build);
-      }()),
-      agg_(model_, options.aggregation),
-      ps_(std::move(ps)) {
-  results_ = agg_.run_incremental(ps_);
-  dirty_from_ns_ = window.end();
-}
-
-SlidingWindowSession::SlidingWindowSession(
-    const Hierarchy& hierarchy,
-    std::shared_ptr<const ShardedTraceStore> sharded, const TimeGrid& window,
-    std::vector<double> ps, SlidingWindowOptions options)
-    : hierarchy_(&hierarchy),
-      options_(adopt_shard_plan(std::move(options), sharded)),
-      sharded_(std::move(sharded)),
-      store_(sharded_->shard_ptr(0)),
-      ownership_(StoreOwnership::kShared),
-      scope_(compute_scope(hierarchy, *sharded_, options_.match_by_path,
-                           StoreOwnership::kShared)),
-      scope_paths_([&]() -> std::shared_ptr<const std::vector<std::string>> {
-        if (scope_.empty()) return nullptr;
-        auto paths = std::make_shared<std::vector<std::string>>();
-        paths->reserve(scope_.size());
-        for (const ResourceId r : scope_) {
-          paths->push_back(sharded_->resource_path(r));
-        }
-        return paths;
-      }()),
-      facade_(store_),
-      model_([&]() -> MicroscopicModel {
-        const TimeGrid grid = make_initial_grid(window);
-        // Same attach contract as the shared single-store ctor: one memory
-        // and codec policy per shared store, owned by the manager.
-        if (options_.memory_budget_bytes != 0) {
-          throw InvalidArgument(
-              "SlidingWindowSession: memory_budget_bytes is an "
-              "exclusive-store knob; set the budget on the SessionManager "
-              "for shared stores");
-        }
-        if (options_.compression != ChunkCompression::kNone) {
-          throw InvalidArgument(
-              "SlidingWindowSession: compression is an exclusive-store "
-              "knob; set the policy on the SessionManager for shared "
-              "stores");
-        }
-        if (!sharded_->tails_sealed()) {
-          throw InvalidArgument(
-              "SlidingWindowSession: shared store has unsealed events "
-              "(seal_chunk() before attaching sessions)");
-        }
-        if (grid.begin() < sharded_->evict_horizon()) {
-          throw InvalidArgument(
-              "SlidingWindowSession: window begins at " +
-              std::to_string(grid.begin()) +
-              " ns, before the shared store's eviction horizon (" +
-              std::to_string(sharded_->evict_horizon()) +
-              " ns) — events there are already evicted");
-        }
-        ModelBuildOptions build;
-        build.slice_count = grid.slice_count();
-        build.match_by_path = options_.match_by_path;
-        build.window_begin = grid.begin();
-        build.window_end = grid.end();
-        return build_model(make_view(grid), hierarchy, build);
+        return build_model(make_view(grid.begin(), grid.end()), hierarchy,
+                           build);
       }()),
       agg_(model_, options_.aggregation),
       ps_(std::move(ps)) {
@@ -234,12 +177,8 @@ SlidingWindowSession::SlidingWindowSession(
   dirty_from_ns_ = window.end();
 }
 
-TraceView SlidingWindowSession::make_view(const TimeGrid& grid) const {
-  if (sharded_ != nullptr) {
-    return TraceView(sharded_, grid.begin(), grid.end(), scope_,
-                     scope_paths_);
-  }
-  return TraceView(store_, grid.begin(), grid.end(), scope_, scope_paths_);
+TraceView SlidingWindowSession::make_view(TimeNs begin, TimeNs end) const {
+  return TraceView(store_, begin, end, scope_, scope_paths_);
 }
 
 void SlidingWindowSession::enforce_memory_budget() {
@@ -249,7 +188,7 @@ void SlidingWindowSession::enforce_memory_budget() {
 
 void SlidingWindowSession::append(ResourceId resource, StateId state,
                                   TimeNs begin, TimeNs end) {
-  if (ownership_ == StoreOwnership::kShared) {
+  if (!exclusive_) {
     throw InvalidArgument(
         "SlidingWindowSession::append: shared-store sessions ingest through "
         "their SessionManager");
@@ -315,13 +254,12 @@ const std::vector<AggregationResult>& SlidingWindowSession::advance_to(
   // overlap the window again (exclusive stores; a SessionManager does both
   // centrally for shared stores), then re-fold the dirty suffix through a
   // fresh window view.
-  if (ownership_ == StoreOwnership::kExclusive) {
+  if (exclusive_) {
     if (options_.prune_trace) store_->evict_before(new_grid.begin());
     store_->set_window(new_grid.begin(), new_grid.end());
     store_->seal_chunk();
     enforce_memory_budget();
-  } else if (sharded_ != nullptr ? !sharded_->tails_sealed()
-                                 : !store_->tails_sealed()) {
+  } else if (!store_->tails_sealed()) {
     throw InvalidArgument(
         "SlidingWindowSession: shared store advanced with unsealed events "
         "(the SessionManager seals before advancing)");
@@ -335,14 +273,8 @@ const std::vector<AggregationResult>& SlidingWindowSession::advance_to(
   const TimeNs dirty_begin_ns = dirty_clamped >= new_t
                                     ? new_grid.end()
                                     : new_grid.slice_begin(dirty_clamped);
-  const TraceView dirty_view =
-      sharded_ != nullptr
-          ? TraceView(sharded_, dirty_begin_ns, new_grid.end(), scope_,
-                      scope_paths_)
-          : TraceView(store_, dirty_begin_ns, new_grid.end(), scope_,
-                      scope_paths_);
-  refold_suffix(model_, dirty_view, *hierarchy_, first_dirty,
-                options_.match_by_path);
+  refold_suffix(model_, make_view(dirty_begin_ns, new_grid.end()),
+                *hierarchy_, first_dirty, options_.match_by_path);
 
   // 4. Splice every derived structure and re-run the DP over the dirty
   // columns only.
@@ -377,19 +309,11 @@ const std::vector<AggregationResult>& SlidingWindowSession::refresh() {
 std::vector<AggregationResult> SlidingWindowSession::run_from_scratch(
     DpKernel kernel) const {
   // Sealed snapshot: shares the immutable chunks, seals any staged tail
-  // (the original also folded staged-but-unadvanced events).  Sharded
-  // sessions snapshot the whole facade — every shard, not just shard 0.
+  // (the original also folded staged-but-unadvanced events) in every
+  // shard.
   const TimeGrid& grid = model_.grid();
-  const TraceView view =
-      sharded_ != nullptr
-          ? TraceView(sharded_->snapshot(), grid.begin(), grid.end(), scope_,
-                      scope_paths_)
-          : [&] {
-              auto snapshot = std::make_shared<TraceStore>(*store_);
-              snapshot->seal_chunk();
-              return TraceView(snapshot, grid.begin(), grid.end(), scope_,
-                               scope_paths_);
-            }();
+  const TraceView view(store_->snapshot(), grid.begin(), grid.end(), scope_,
+                       scope_paths_);
   ModelBuildOptions build;
   build.slice_count = grid.slice_count();
   build.match_by_path = options_.match_by_path;

@@ -16,15 +16,16 @@
 //   (i, j) of the new window equals cell (i+k, j+k) of the old one and is
 //   remapped by a pure relocation instead of recomputed.
 //
-// Since the multi-session refactor the session no longer owns a mutable
-// event blob: it reads an immutable chunked TraceStore through zero-copy
-// TraceViews (chunk-fence pruning selects the window, a merge cursor
-// yields the sorted interval stream).  A session either *owns* its store
-// exclusively (the classic single-analysis mode: it may append, seal and
-// evict) or *shares* it with other sessions under a SessionManager, which
-// then owns ingest, sealing and eviction — N sessions with different
-// windows, slice counts, hierarchy scopes and probe sets read the same
-// chunks, so the trace bytes are paid once, not N times.
+// The session reads an immutable chunked ShardedTraceStore through
+// zero-copy TraceViews (chunk-fence pruning selects the window, a merge
+// cursor yields the sorted interval stream).  A session built from a Trace
+// or a TraceStore *owns* it exclusively, wrapped as the only shard of an
+// S = 1 facade (it may append, seal and evict); a session built from a
+// ShardedTraceStore *shares* it with other sessions under a
+// SessionManager, which then owns ingest, sealing and eviction — N
+// sessions with different windows, slice counts, hierarchy scopes and
+// probe sets read the same chunks, so the trace bytes are paid once, not
+// N times.
 //
 // Half-open edge convention (shared with the trace readers and the model
 // builder): a state occupies [begin, end).  An event whose end lies
@@ -60,17 +61,6 @@
 namespace stagg {
 
 class ShardedTraceStore;
-
-/// Who may mutate the session's TraceStore.
-enum class StoreOwnership : std::uint8_t {
-  /// The session owns the store: append() stages events, every advance
-  /// seals them and (optionally) evicts dead chunks.
-  kExclusive,
-  /// The store is shared with other sessions (a SessionManager owns
-  /// ingest, sealing and eviction); append() throws, advances require the
-  /// store to be sealed.
-  kShared,
-};
 
 /// Knobs of a sliding-window session.
 struct SlidingWindowOptions {
@@ -111,26 +101,24 @@ class SlidingWindowSession {
                        const TimeGrid& window, std::vector<double> ps,
                        SlidingWindowOptions options = {});
 
-  /// Aggregates over a store, exclusively owned or shared (see
-  /// StoreOwnership).  With a shared store the hierarchy may *scope* the
-  /// session to a subset of store resources: every hierarchy leaf path
-  /// must name a store resource; other resources are outside the view.
+  /// Aggregates over a store the session owns exclusively (wrapped as the
+  /// only shard of an S = 1 facade; store() keeps returning it).
   SlidingWindowSession(const Hierarchy& hierarchy,
                        std::shared_ptr<TraceStore> store,
                        const TimeGrid& window, std::vector<double> ps,
-                       SlidingWindowOptions options = {},
-                       StoreOwnership ownership = StoreOwnership::kExclusive);
+                       SlidingWindowOptions options = {});
 
-  /// Aggregates over a sharded store — always shared (a SessionManager or
-  /// test harness owns ingest, sealing and eviction).  Hierarchy scoping
-  /// works as in the shared single-store ctor; every view routes each
-  /// resource to its owning shard, so results are bit-identical to the
-  /// same intervals held in one monolithic store.  Unless
+  /// Aggregates over a shared store (a SessionManager or test harness
+  /// owns ingest, sealing and eviction).  The hierarchy may *scope* the
+  /// session to a subset of store resources: every hierarchy leaf path
+  /// must name a store resource; other resources are outside the view.
+  /// Every view routes each resource to its owning shard, so results are
+  /// bit-identical at every shard count.  At S > 1, unless
   /// options.aggregation.shard_plan is already set, the session adopts the
   /// store's ShardPlan for its aggregator (partitioned cube fold and
   /// per-shard cache schedule).  store()/trace() resolve to shard 0.
   SlidingWindowSession(const Hierarchy& hierarchy,
-                       std::shared_ptr<const ShardedTraceStore> sharded,
+                       std::shared_ptr<ShardedTraceStore> store,
                        const TimeGrid& window, std::vector<double> ps,
                        SlidingWindowOptions options = {});
 
@@ -181,21 +169,21 @@ class SlidingWindowSession {
   [[nodiscard]] const MicroscopicModel& model() const noexcept {
     return model_;
   }
-  /// Row-facade over the session's store (compatibility accessor; copying
-  /// it yields an independent trace sharing the sealed chunks).
+  /// Row-facade over shard 0 of the session's store (compatibility
+  /// accessor; copying it yields an independent trace sharing the sealed
+  /// chunks).
   [[nodiscard]] const Trace& trace() const noexcept { return facade_; }
-  [[nodiscard]] const TraceStore& store() const noexcept { return *store_; }
+  /// Shard 0 of the session's store — the whole store at S = 1.
+  [[nodiscard]] const TraceStore& store() const noexcept {
+    return *facade_.store();
+  }
   [[nodiscard]] const std::shared_ptr<TraceStore>& store_ptr() const noexcept {
+    return facade_.store();
+  }
+  /// The store this session reads (never null).
+  [[nodiscard]] const std::shared_ptr<ShardedTraceStore>& sharded_store_ptr()
+      const noexcept {
     return store_;
-  }
-  [[nodiscard]] StoreOwnership ownership() const noexcept {
-    return ownership_;
-  }
-  /// The sharded store this session reads, or null for single-store
-  /// sessions (store() then returns the whole store, not a shard).
-  [[nodiscard]] const std::shared_ptr<const ShardedTraceStore>&
-  sharded_store_ptr() const noexcept {
-    return sharded_;
   }
   /// Store resources this session reads (empty = all, in store order).
   [[nodiscard]] std::span<const ResourceId> scope() const noexcept {
@@ -221,19 +209,22 @@ class SlidingWindowSession {
  private:
   const std::vector<AggregationResult>& advance_to(const TimeGrid& new_grid,
                                                    std::int32_t dropped_front);
-  [[nodiscard]] TraceView make_view(const TimeGrid& grid) const;
+  /// The one attach path behind the public constructors.
+  SlidingWindowSession(const Hierarchy& hierarchy,
+                       std::shared_ptr<ShardedTraceStore> store,
+                       bool exclusive, const TimeGrid& window,
+                       std::vector<double> ps, SlidingWindowOptions options);
+  [[nodiscard]] TraceView make_view(TimeNs begin, TimeNs end) const;
   /// Spills cold chunks down to options_.memory_budget_bytes (exclusive
   /// stores with a budget; no-op otherwise).
   void enforce_memory_budget();
 
   const Hierarchy* hierarchy_;
   SlidingWindowOptions options_;
-  /// Sharded-store mode: non-null for sessions over a ShardedTraceStore;
-  /// store_ then aliases shard 0 (its registry mirrors the facade's) and
-  /// every view routes resources through the facade.
-  std::shared_ptr<const ShardedTraceStore> sharded_;
-  std::shared_ptr<TraceStore> store_;
-  StoreOwnership ownership_ = StoreOwnership::kExclusive;
+  std::shared_ptr<ShardedTraceStore> store_;
+  /// The session owns store_'s write side (append, seal, evict, budget);
+  /// false for stores shared under a SessionManager.
+  bool exclusive_;
   /// Store resources backing the hierarchy's leaves; empty when the
   /// hierarchy covers the whole store (full view).
   std::vector<ResourceId> scope_;

@@ -63,6 +63,21 @@ ShardedTraceStore::ShardedTraceStore(const Hierarchy& hierarchy,
   set_compression(source.compression());
 }
 
+ShardedTraceStore::ShardedTraceStore(const Hierarchy& hierarchy,
+                                     std::shared_ptr<TraceStore> store)
+    : ShardedTraceStore(hierarchy, std::make_shared<ShardPlan>(hierarchy, 1),
+                        /*make_stores=*/false) {
+  if (!store) throw InvalidArgument("ShardedTraceStore: null trace store");
+  *resource_paths_ = store->resource_paths();
+  for (std::size_t r = 0; r < resource_paths_->size(); ++r) {
+    resource_ids_.emplace((*resource_paths_)[r], static_cast<ResourceId>(r));
+  }
+  shard_of_.assign(resource_paths_->size(), 0);
+  local_of_.resize(resource_paths_->size());
+  std::iota(local_of_.begin(), local_of_.end(), ResourceId{0});
+  shards_.push_back(std::move(store));
+}
+
 std::size_t ShardedTraceStore::route_path(std::string_view path,
                                           ResourceId global) const {
   const NodeId node = hierarchy_->find(path);
@@ -176,6 +191,10 @@ void ShardedTraceStore::evict_before(TimeNs cutoff) {
   for (const auto& shard : shards_) shard->evict_before(cutoff);
 }
 
+void ShardedTraceStore::set_window(TimeNs begin, TimeNs end) {
+  for (const auto& shard : shards_) shard->set_window(begin, end);
+}
+
 void ShardedTraceStore::set_compression(ChunkCompression policy) {
   for (const auto& shard : shards_) shard->set_compression(policy);
 }
@@ -197,13 +216,18 @@ std::size_t ShardedTraceStore::spill_cold(std::size_t budget_bytes) {
         "(call enable_spill first)");
   }
   const std::size_t n_shards = shards_.size();
+  last_split_budget_ = budget_bytes;
+  if (n_shards == 1) {
+    // The only shard's share is the whole budget: skip the split pass.
+    last_split_.assign(1, budget_bytes);
+    return shards_[0]->spill_cold(budget_bytes);
+  }
   std::vector<std::size_t> resident(n_shards, 0);
   std::size_t total = 0;
   for (std::size_t k = 0; k < n_shards; ++k) {
     resident[k] = shards_[k]->resident_chunk_bytes();
     total += resident[k];
   }
-  last_split_budget_ = budget_bytes;
   if (total <= budget_bytes) {
     // Every shard already fits inside its own footprint: record the
     // trivially-holding split and spill nothing.
@@ -239,7 +263,7 @@ TimeNs ShardedTraceStore::begin() const noexcept {
     lo = std::min(lo, shard->begin());
     any = true;
   }
-  return any ? lo : 0;
+  return any ? lo : shards_[0]->begin();
 }
 
 TimeNs ShardedTraceStore::end() const noexcept {
@@ -250,7 +274,7 @@ TimeNs ShardedTraceStore::end() const noexcept {
     hi = std::max(hi, shard->end());
     any = true;
   }
-  return any ? hi : 0;
+  return any ? hi : shards_[0]->end();
 }
 
 bool ShardedTraceStore::sealed() const noexcept {

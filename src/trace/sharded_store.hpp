@@ -1,4 +1,9 @@
-// ShardedTraceStore: S per-shard TraceStores under one routing facade.
+// ShardedTraceStore: S per-shard TraceStores under one routing facade —
+// the one store type sessions and managers hold.  S = 1 is the default:
+// wrapping an existing TraceStore makes it the only shard (no chunk is
+// copied, global ids equal its ids), so the common path reads the caller's
+// store directly; S > 1 partitions the resources for parallel seal, fold
+// and cache build.
 //
 // Resources are assigned to shards by the hierarchy subtree partition of a
 // ShardPlan (a resource whose path names a hierarchy leaf lands on that
@@ -11,21 +16,21 @@
 //
 // Write routing preserves the single-writer rule *per shard*: ingest()
 // buckets a record batch by shard and appends each bucket from exactly one
-// parallel task; seal_chunk(), evict_before(), set_compression() and
-// spill_cold() fan out with one task (or one serial call) per shard.
-// spill_cold() is where the manager's global memory budget becomes a
-// per-shard policy: the budget is split proportionally to each shard's
-// resident sealed-chunk bytes (floor division, so the shares never sum
-// past the cap) and each shard spills to its own file — the global cap
-// holds exactly after every enforcement round.  The last split is kept
-// for audit()/test accounting.
+// parallel task; seal_chunk(), evict_before(), set_window(),
+// set_compression() and spill_cold() fan out with one task (or one serial
+// call) per shard.  spill_cold() is where the manager's global memory
+// budget becomes a per-shard policy: the budget is split proportionally to
+// each shard's resident sealed-chunk bytes (floor division, so the shares
+// never sum past the cap) and each shard spills to its own file — the
+// global cap holds exactly after every enforcement round.  The last split
+// is kept for audit()/test accounting.
 //
 // Read aggregates (begin/end/tails_sealed/byte accounting) fold over the
 // shards; because every shard orders its chunks by the same total key and
 // a TraceView merges per-resource sequences independent of chunking, a
-// sharded store holding the same interval multiset as a monolithic one is
-// bit-identical under every view, fold and DP — at every shard count,
-// including S = 1.
+// sharded store holding the same interval multiset as one plain
+// TraceStore is bit-identical under every view, fold and DP — at every
+// shard count.
 #pragma once
 
 #include <cstddef>
@@ -62,6 +67,13 @@ class ShardedTraceStore {
   ShardedTraceStore(const Hierarchy& hierarchy,
                     std::shared_ptr<const ShardPlan> plan,
                     const TraceStore& source);
+
+  /// Wraps `store` as the only shard of an S = 1 facade over `hierarchy`:
+  /// no chunk is copied, the store keeps its spill configuration,
+  /// eviction horizon and compression policy, and global resource ids
+  /// equal its ids.  Writes must go through the facade from here on.
+  ShardedTraceStore(const Hierarchy& hierarchy,
+                    std::shared_ptr<TraceStore> store);
 
   ShardedTraceStore(const ShardedTraceStore&) = delete;
   ShardedTraceStore& operator=(const ShardedTraceStore&) = delete;
@@ -121,6 +133,7 @@ class ShardedTraceStore {
   void ingest(std::span<const EventRecord> records);
   void seal_chunk();
   void evict_before(TimeNs cutoff);
+  void set_window(TimeNs begin, TimeNs end);
   void set_compression(ChunkCompression policy);
   [[nodiscard]] ChunkCompression compression() const noexcept {
     return shards_[0]->compression();

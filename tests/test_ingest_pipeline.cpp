@@ -157,8 +157,10 @@ std::vector<Snapshot> run_sync_oracle(
 
 /// The acceptance drill: same stream, same frontiers, one synchronous
 /// manager vs one pipelined manager — snapshots at every watermark must
-/// match bit for bit, under both single-lane and 4-lane DP.
-void run_pipeline_oracle(std::size_t lanes, std::size_t parse_workers) {
+/// match bit for bit, under both single-lane and 4-lane DP.  The closed
+/// pipeline's stats land in `stats_out` when given.
+void run_pipeline_oracle(std::size_t lanes, std::size_t parse_workers,
+                         IngestPipelineStats* stats_out = nullptr) {
   Fixture fx(0x1D5E + lanes);
   auto sync = fx.make_manager(lanes);
   auto piped = fx.make_manager(lanes);
@@ -190,6 +192,7 @@ void run_pipeline_oracle(std::size_t lanes, std::size_t parse_workers) {
     EXPECT_EQ(stats.records_sealed, submitted);
     EXPECT_EQ(stats.rounds_advanced, rounds.size());
     EXPECT_EQ(stats.advanced_watermark, rounds.back().first);
+    if (stats_out != nullptr) *stats_out = stats;
   }
 
   ASSERT_EQ(pipe_snaps.size(), sync_snaps.size());
@@ -220,6 +223,21 @@ TEST(IngestPipeline, BitIdenticalToSynchronousPathW4) {
 
 TEST(IngestPipeline, SingleParseWorkerDegenerateCase) {
   run_pipeline_oracle(/*lanes=*/4, /*parse_workers=*/1);
+}
+
+TEST(IngestPipeline, DefaultStoreSpreadsRecordsAcrossParseWorkers) {
+  // A default (S = 1) manager has one store shard, so submit_records must
+  // split every batch across the parse workers instead of grouping it by
+  // store shard onto worker 0 — and stay bit-identical while doing so.
+  // Every queue also receives one watermark barrier per round, so a
+  // worker got records only if it saw more pushes than rounds.
+  IngestPipelineStats stats;
+  run_pipeline_oracle(/*lanes=*/1, /*parse_workers=*/2, &stats);
+  ASSERT_EQ(stats.shard_queues.size(), 2u);
+  for (std::size_t k = 0; k < stats.shard_queues.size(); ++k) {
+    EXPECT_GT(stats.shard_queues[k].pushed, stats.rounds_advanced)
+        << "parse worker " << k;
+  }
 }
 
 TEST(IngestPipeline, CsvTextPathMatchesRecordPath) {

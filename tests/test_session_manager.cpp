@@ -406,15 +406,45 @@ TEST(SessionManager, MemoryBudgetRequiresSpillFile) {
   EXPECT_THROW(manager.set_memory_budget(1024), InvalidArgument);
   // Per-session budgets are an exclusive-store knob: a shared attach with
   // one set must be rejected (the manager owns the shared memory policy).
-  auto session_store = std::make_shared<TraceStore>(*whole.store());
-  session_store->seal_chunk();
   SlidingWindowOptions opt;
   opt.memory_budget_bytes = 1024;
   opt.spill_path = "test_session_manager_unused.spill";
-  EXPECT_THROW(SlidingWindowSession(h, session_store,
-                                    TimeGrid(0, seconds(8.0), 8), {0.5}, opt,
-                                    StoreOwnership::kShared),
+  EXPECT_THROW(SlidingWindowSession(h, manager.sharded_store(),
+                                    TimeGrid(0, seconds(8.0), 8), {0.5}, opt),
                InvalidArgument);
+}
+
+TEST(SessionManager, WrapsThePlainStoreAsTheOnlyShard) {
+  // The TraceStore constructor wraps the caller's store as shard 0 of an
+  // S = 1 facade: no copy, and the store keeps the spill file it was
+  // configured with before the manager saw it.
+  const Hierarchy h = make_balanced_hierarchy(1, 3);
+  Trace whole = make_synthetic_trace(h, 10.0, 0x5B13);
+  whole.seal();
+  const std::string spill = "test_session_manager_wrap.spill";
+  const std::shared_ptr<TraceStore> store = whole.store();
+  store->enable_spill(spill);
+  SessionManager manager(h, store);
+  EXPECT_EQ(&manager.store(), store.get());
+  EXPECT_EQ(manager.store_ptr(), store);
+  ASSERT_NE(manager.sharded_store(), nullptr);
+  EXPECT_EQ(manager.sharded_store()->shard_count(), 1u);
+  SessionSpec spec;
+  spec.window = TimeGrid(0, seconds(8.0), 8);
+  spec.ps = {0.5};
+  manager.add_session(spec);
+  EXPECT_EQ(manager.session(0).store_ptr(), store);
+
+  ASSERT_NO_THROW(manager.set_memory_budget(1));
+  EXPECT_LE(store->resident_chunk_bytes(), 1u);
+  EXPECT_GT(store->spilled_chunk_bytes(), 0u);
+  ASSERT_NO_THROW(manager.audit());
+  manager.refresh_all();
+  expect_results_equal(manager.session(0).results(),
+                       manager.session(0).run_from_scratch(
+                           DpKernel::kReference),
+                       "spilled wrap vs kReference");
+  std::remove(spill.c_str());
 }
 
 TEST(SessionManager, SharedSessionsRejectDirectIngest) {

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "core/measure_cache.hpp"
 #include "hierarchy/platform.hpp"
 #include "model/builder.hpp"
+#include "trace/sharded_store.hpp"
 #include "workload/fixtures.hpp"
 #include "workload/nas_lu.hpp"
 #include "workload/synthetic.hpp"
@@ -483,9 +485,21 @@ TEST(SlidingWindow, RejectsUnsupportedConfigurations) {
     // owns the shared codec policy).
     Trace shared = make_trace();
     shared.seal();
-    EXPECT_THROW(SlidingWindowSession(h, shared.store(),
-                                      TimeGrid(0, seconds(10.0), 10), {0.5},
-                                      opt, StoreOwnership::kShared),
+    EXPECT_THROW(
+        SlidingWindowSession(
+            h, std::make_shared<ShardedTraceStore>(h, shared.store()),
+            TimeGrid(0, seconds(10.0), 10), {0.5}, opt),
+        InvalidArgument);
+  }
+  {
+    // A shared store must be sealed before sessions attach: a staged
+    // event no advance accounts for would stay invisible to the session.
+    Trace shared = make_trace();
+    shared.seal();
+    auto store = std::make_shared<ShardedTraceStore>(h, shared.store());
+    store->add_state(0, StateId{0}, seconds(1.0), seconds(1.5));
+    EXPECT_THROW(SlidingWindowSession(h, store,
+                                      TimeGrid(0, seconds(10.0), 10), {0.5}),
                  InvalidArgument);
   }
   // Unknown states cannot be appended mid-session (|X| is fixed).
