@@ -4,15 +4,18 @@
 //
 // Each configuration attaches one sliding-window session to a
 // SessionManager — the default one over a plain TraceStore (S = 1), or one
-// spanning S ∈ {2, 4, 8} resource shards — and pays the same two costs the sharding tentpole targets: the initial
-// cache build (model + cube fold + measure cache + first DP sweep, timed
-// by add_session) and a series of live advance rounds (ingest + seal +
-// refold + incremental DP, timed by slide_all).  Workloads: a >= 256-leaf
-// balanced synthetic platform and the paper's NAS-LU behavioural model
-// (heterogeneous clusters, scripted rupture).
+// spanning S ∈ {2, 4, 8} resource shards — and pays the same two costs that
+// sharding targets: the initial cache build (model + cube fold +
+// measure cache + first DP sweep, timed by add_session) and a series of
+// live advance rounds (ingest + seal + refold + incremental DP, timed by
+// slide_all).  Workloads: a >= 256-leaf balanced synthetic platform and the
+// paper's NAS-LU behavioural model (heterogeneous clusters, scripted
+// rupture).
 //
 // Results are gated bit-identical across every shard count (the oracle of
-// tests/test_shard.cpp re-checked at bench scale).  Acceptance bar:
+// tests/test_shard.cpp re-checked at bench scale), and the S = 1 final
+// round against a from-scratch kReference run over a view of a plain
+// TraceStore, so the sharded facade is never its own oracle.  Acceptance bar:
 // sharded cache build + advance >= 1.5x the S = 1 manager at S = 4 — active
 // on >= 6 hardware threads (per-shard work must actually parallelize),
 // reported-but-waived below that, like BENCH_ingest's pipeline bar.
@@ -76,6 +79,7 @@ struct ConfigTiming {
   double cache_build_s = 0.0;  ///< the measure-cache share of build_s
   /// Per-round results retained for the cross-config identity gate.
   std::vector<std::vector<AggregationResult>> rounds;
+  TimeGrid final_window;  ///< the session's window after the last round
   [[nodiscard]] double total_s() const { return build_s + advance_s; }
 };
 
@@ -128,7 +132,33 @@ ConfigTiming run_config(const Workload& w, std::size_t shards, TimeNs horizon,
     t.rounds.push_back(manager->session(0).results());
   }
   t.advance_s = sw.seconds();
+  t.final_window = manager->session(0).window();
   return t;
+}
+
+/// The final round recomputed from scratch by the kReference kernel over a
+/// view of a plain TraceStore holding the same events the managers ingested
+/// (everything beginning before `frontier`), never through the facade.
+std::vector<AggregationResult> plain_store_reference(
+    const Workload& w, TimeNs horizon, TimeNs frontier,
+    const TimeGrid& window, const std::vector<double>& ps) {
+  TraceSplit split = split_trace_at(w.whole, horizon);
+  const std::shared_ptr<TraceStore> store = split.initial.store();
+  for (const auto& [r, s] : split.future) {
+    if (s.begin >= frontier) break;
+    store->add_state(r, s.state, s.begin, s.end);
+  }
+  store->seal_chunk();
+  ModelBuildOptions build;
+  build.slice_count = window.slice_count();
+  build.window_begin = window.begin();
+  build.window_end = window.end();
+  const MicroscopicModel model = build_model(
+      TraceView(store, window.begin(), window.end()), w.hierarchy, build);
+  AggregationOptions opt;
+  opt.kernel = DpKernel::kReference;
+  SpatiotemporalAggregator agg(model, opt);
+  return agg.run_many(ps);
 }
 
 int run(int argc, const char* const* argv) {
@@ -250,6 +280,14 @@ int run(int argc, const char* const* argv) {
                 "%7.1f ms\n",
                 rep.base.build_s * 1e3, rep.base.advance_s * 1e3,
                 rep.base.total_s() * 1e3);
+    const bool base_matches_reference = results_equal(
+        rep.base.rounds.back(),
+        plain_store_reference(w, horizon, horizon + dt * rounds,
+                              rep.base.final_window, ps));
+    all_identical = all_identical && base_matches_reference;
+    std::printf("  S = 1 final round vs kReference over a plain store: "
+                "[%s]\n",
+                base_matches_reference ? "bit-identical" : "MISMATCH (BUG)");
     for (const std::size_t s : shard_counts) {
       ConfigTiming t = run_config(w, s, horizon, window, ps, rounds, dt);
       const double speedup = rep.base.total_s() / std::max(t.total_s(), 1e-12);

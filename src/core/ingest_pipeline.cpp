@@ -361,9 +361,10 @@ void IngestPipeline::submit_records(std::vector<EventRecord> records) {
     // Parse-shard -> store-shard affinity: group the batch by owning
     // store shard so each parse worker's batches hold one store shard's
     // records and the facade's bucketed append parallelizes S-wide with
-    // no cross-shard scatter (at S = 1 it would starve all but worker 0).  The grouping is a stable partition, so
-    // per-resource order is preserved end to end (chunks re-sort at seal
-    // anyway — results are bit-identical to the contiguous split).
+    // no cross-shard scatter (at S = 1 it would starve all but worker 0).
+    // The grouping is a stable partition, so per-resource order is
+    // preserved end to end (chunks re-sort at seal anyway — results are
+    // bit-identical to the contiguous split).
     std::vector<std::vector<EventRecord>> groups(shards);
     for (const EventRecord& rec : records) {
       if (rec.resource < 0 ||

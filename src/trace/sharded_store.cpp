@@ -216,18 +216,13 @@ std::size_t ShardedTraceStore::spill_cold(std::size_t budget_bytes) {
         "(call enable_spill first)");
   }
   const std::size_t n_shards = shards_.size();
-  last_split_budget_ = budget_bytes;
-  if (n_shards == 1) {
-    // The only shard's share is the whole budget: skip the split pass.
-    last_split_.assign(1, budget_bytes);
-    return shards_[0]->spill_cold(budget_bytes);
-  }
   std::vector<std::size_t> resident(n_shards, 0);
   std::size_t total = 0;
   for (std::size_t k = 0; k < n_shards; ++k) {
     resident[k] = shards_[k]->resident_chunk_bytes();
     total += resident[k];
   }
+  last_split_budget_ = budget_bytes;
   if (total <= budget_bytes) {
     // Every shard already fits inside its own footprint: record the
     // trivially-holding split and spill nothing.
