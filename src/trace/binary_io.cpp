@@ -130,6 +130,44 @@ TraceFileInfo read_header(std::FILE* f, const std::string& path) {
   return info;
 }
 
+/// Records per fread of the whole-file readers.  Fixed (not the store's
+/// chunk_records), so a truncated record section reports the same offset
+/// through read_binary_trace and read_binary_trace_store.
+constexpr std::size_t kReadRecords = 1 << 16;
+
+/// Reads the record section of an STGT stream positioned just past its
+/// tables, `read_records` records per fread, and hands each block to
+/// `on_block(decoder, bytes)` along with the one StgtRecordDecoder that
+/// validates every record (id ranges, end >= begin, absolute error
+/// offsets), shared with every other STGT reader.
+template <class OnBlock>
+void read_record_blocks(std::FILE* f, const std::string& path,
+                        const TraceFileInfo& info, std::size_t read_records,
+                        OnBlock&& on_block) {
+  if (read_records == 0) {
+    throw InvalidArgument("STGT record reads need at least one record");
+  }
+  const long records_base = std::ftell(f);
+  if (records_base < 0) throw IoError("ftell failed on '" + path + "'");
+  StgtRecordDecoder decoder(info.resource_paths.size(), info.states.size(),
+                            path, static_cast<std::uint64_t>(records_base));
+  // The declared count is untrusted: size the buffer by what it can hold.
+  std::vector<std::uint8_t> buf(
+      static_cast<std::size_t>(std::min<std::uint64_t>(info.record_count,
+                                                       read_records)) *
+      kRecordBytes);
+  std::uint64_t remaining = info.record_count;
+  while (remaining > 0) {
+    const std::size_t take = static_cast<std::size_t>(
+        std::min<std::uint64_t>(remaining, read_records));
+    read_bytes(f, buf.data(), take * kRecordBytes, path);
+    on_block(decoder,
+             std::span<const std::uint8_t>(buf.data(), take * kRecordBytes));
+    remaining -= take;
+  }
+  decoder.finish();
+}
+
 // --- Chunk records (shared by chunk files and spill files) -----------------
 
 std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t h) {
@@ -599,32 +637,19 @@ TraceFileInfo stream_binary_trace(
     std::size_t chunk_records) {
   FilePtr f = open_file(path, "rb");
   TraceFileInfo info = read_header(f.get(), path);
-  const long records_base = std::ftell(f.get());
-
-  std::vector<std::uint8_t> buf(chunk_records * kRecordBytes);
   std::vector<TraceRecord> records;
-  records.reserve(chunk_records);
-
-  // The record section streams through the resumable byte-range decoder
-  // (validation — id ranges, end >= begin, absolute error offsets — lives
-  // there, shared with the pipeline's parallel shard decode).
-  StgtRecordDecoder decoder(info.resource_paths.size(), info.states.size(),
-                            path,
-                            static_cast<std::uint64_t>(records_base));
-  const StgtRecordSink record_sink = [&records](const StgtRecord& rec) {
-    records.push_back(rec);
-  };
-  std::uint64_t remaining = info.record_count;
-  while (remaining > 0) {
-    const std::size_t take = static_cast<std::size_t>(
-        std::min<std::uint64_t>(remaining, chunk_records));
-    read_bytes(f.get(), buf.data(), take * kRecordBytes, path);
-    records.clear();
-    decoder.feed({buf.data(), take * kRecordBytes}, record_sink);
-    sink({records.data(), records.size()});
-    remaining -= take;
-  }
-  decoder.finish();
+  records.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(info.record_count, chunk_records)));
+  read_record_blocks(
+      f.get(), path, info, chunk_records,
+      [&](StgtRecordDecoder& decoder, std::span<const std::uint8_t> block) {
+        records.clear();
+        decoder.feed(block,
+                     [&records](const StgtRecord& rec) {
+                       records.push_back(rec);
+                     });
+        sink({records.data(), records.size()});
+      });
   return info;
 }
 
@@ -801,25 +826,32 @@ std::shared_ptr<TraceStore> read_binary_trace_store(const std::string& path,
   // Chunk files open zero-copy: mapped columns are served in place instead
   // of being rehydrated through the record tails.
   if (is_chunk_file(path)) return open_chunk_file_store(path);
-  const TraceFileInfo info = read_binary_trace_info(path);
+  if (chunk_records == 0) {
+    throw InvalidArgument("read_binary_trace_store: chunk_records must be > 0");
+  }
+  FilePtr f = open_file(path, "rb");
+  const TraceFileInfo info = read_header(f.get(), path);
   auto store = std::make_shared<TraceStore>();
   for (const auto& p : info.resource_paths) store->add_resource(p);
   for (const auto& s : info.states.names()) store->states().intern(s);
-  std::uint64_t staged = 0;
-  stream_binary_trace(
-      path,
-      [&](std::span<const TraceRecord> chunk) {
-        for (const auto& rec : chunk) {
-          store->add_state(rec.resource, rec.interval.state,
-                           rec.interval.begin, rec.interval.end);
-        }
-        staged += chunk.size();
-        if (staged >= chunk_records) {
-          store->seal_chunk();
-          staged = 0;
-        }
-      },
-      chunk_records);
+  // Records go straight into the lane tails; every chunk_records records
+  // seal, so chunk boundaries depend only on the file and chunk_records.
+  TraceStore& out = *store;
+  std::size_t staged = 0;
+  const auto append = [&](const StgtRecord& rec) {
+    out.add_state(rec.resource, rec.interval.state, rec.interval.begin,
+                  rec.interval.end);
+    if (++staged == chunk_records) {
+      out.seal_chunk();
+      staged = 0;
+    }
+  };
+  read_record_blocks(
+      f.get(), path, info, kReadRecords,
+      [&append](StgtRecordDecoder& decoder,
+                std::span<const std::uint8_t> block) {
+        decoder.feed(block, append);
+      });
   store->set_window(info.window_begin, info.window_end);
   store->seal_chunk();
   return store;
@@ -828,22 +860,21 @@ std::shared_ptr<TraceStore> read_binary_trace_store(const std::string& path,
 Trace read_binary_trace(const std::string& path) {
   // Chunk files come back as a facade over the zero-copy mapped store.
   if (is_chunk_file(path)) return Trace(open_chunk_file_store(path));
-  // Register tables before records: decode the header once, then stream the
-  // records into the trace (ids in the file are dense and file-ordered, so
-  // they coincide with the registration order).
-  const TraceFileInfo info = read_binary_trace_info(path);
+  // Register tables before records (ids in the file are dense and
+  // file-ordered, so they coincide with the registration order).
+  FilePtr f = open_file(path, "rb");
+  const TraceFileInfo info = read_header(f.get(), path);
   Trace out;
   for (const auto& p : info.resource_paths) out.add_resource(p);
   for (const auto& s : info.states.names()) out.states().intern(s);
-  stream_binary_trace(
-      path,
-      [&](std::span<const TraceRecord> chunk) {
-        for (const auto& rec : chunk) {
+  read_record_blocks(
+      f.get(), path, info, kReadRecords,
+      [&out](StgtRecordDecoder& decoder, std::span<const std::uint8_t> block) {
+        decoder.feed(block, [&out](const StgtRecord& rec) {
           out.add_state(rec.resource, rec.interval.state, rec.interval.begin,
                         rec.interval.end);
-        }
-      },
-      /*chunk_records=*/1 << 16);
+        });
+      });
   out.set_window(info.window_begin, info.window_end);
   out.seal();
   return out;

@@ -64,10 +64,11 @@
 
 namespace stagg {
 
-/// One on-disk record paired with its resource (streaming API).  The
-/// record section is decoded by the resumable StgtRecordDecoder
-/// (stream_decode.hpp) — the whole-file reader here and the pipeline's
-/// byte-range shard decode share one record grammar and validation.
+/// One on-disk record paired with its resource (streaming API).  Every
+/// STGT reader here — read_binary_trace, read_binary_trace_store,
+/// stream_binary_trace and build_model_streaming on top of it — decodes
+/// the record section through the resumable StgtRecordDecoder
+/// (stream_decode.hpp), so all share one record grammar and validation.
 using TraceRecord = StgtRecord;
 
 /// Static description decoded from a trace file header + tables.
@@ -87,12 +88,18 @@ std::uint64_t write_binary_trace(Trace& trace, const std::string& path);
 [[nodiscard]] Trace read_binary_trace(const std::string& path);
 
 /// Streams a trace file into an immutable chunked store: records are
-/// appended to the resource tails and sealed every `chunk_records`
-/// records, so the result arrives pre-chunked and shared-ready (back it
-/// with TraceViews / a SessionManager) while peak mutable memory stays
-/// bounded by one record chunk plus the store's size-tiered compaction
-/// buffer.  The interval multiset — and therefore every model fold — is
-/// bit-identical to read_binary_trace.
+/// decoded straight into the resource tails (no intermediate record
+/// buffer) and sealed every `chunk_records` records, so the result arrives
+/// pre-chunked and shared-ready (back it with TraceViews / a
+/// SessionManager) while peak mutable memory stays bounded by one record
+/// chunk plus the store's size-tiered compaction buffer.  Each seal visits
+/// only the resources it touched and skips the sort for tails already in
+/// key order, so a sorted resource-major file (what write_binary_trace
+/// emits) costs about one pass over its bytes.  Chunk boundaries depend
+/// only on the file and `chunk_records`.  The interval multiset — and
+/// therefore every model fold — is bit-identical to read_binary_trace, and
+/// malformed records fail with the same TraceFormatError message and
+/// absolute offset.
 ///
 /// Chunk files (STGC) take a zero-copy path instead: the file is mmapped
 /// once and the store's chunks read the validated records in place

@@ -166,56 +166,10 @@ StgtRecordDecoder::StgtRecordDecoder(std::uint64_t resource_count,
       context_(std::move(context)),
       base_offset_(base_offset) {}
 
-void StgtRecordDecoder::emit(const std::uint8_t* record,
-                             const StgtRecordSink& sink) {
-  std::uint32_t ur = 0, ux = 0;
-  TimeNs begin = 0, end = 0;
-  std::memcpy(&ur, record, 4);
-  std::memcpy(&ux, record + 4, 4);
-  std::memcpy(&begin, record + 8, 8);
-  std::memcpy(&end, record + 16, 8);
-  // Built only on the throw paths: the happy path of a 10^8-record ingest
-  // must not allocate per record.
-  const auto offset_str = [&] {
-    return " in '" + context_ + "' at offset " +
-           std::to_string(base_offset_ + decoded_ * kRecordBytes);
-  };
-  if (ur >= resource_count_) {
-    throw TraceFormatError("record references unknown resource" +
-                           offset_str());
-  }
-  if (ux >= state_count_) {
-    throw TraceFormatError("record references unknown state" + offset_str());
-  }
-  if (end < begin) {
-    throw TraceFormatError("record with end < begin" + offset_str());
-  }
-  const StgtRecord rec{static_cast<ResourceId>(ur),
-                       StateInterval{begin, end, static_cast<StateId>(ux)}};
-  sink(rec);
-  ++decoded_;
-}
-
-void StgtRecordDecoder::feed(std::span<const std::uint8_t> bytes,
-                             const StgtRecordSink& sink) {
-  if (carry_len_ > 0) {
-    const std::size_t need =
-        std::min(kRecordBytes - carry_len_, bytes.size());
-    std::memcpy(carry_ + carry_len_, bytes.data(), need);
-    carry_len_ += need;
-    bytes = bytes.subspan(need);
-    if (carry_len_ < kRecordBytes) return;
-    carry_len_ = 0;
-    emit(carry_, sink);
-  }
-  while (bytes.size() >= kRecordBytes) {
-    emit(bytes.data(), sink);
-    bytes = bytes.subspan(kRecordBytes);
-  }
-  if (!bytes.empty()) {
-    std::memcpy(carry_, bytes.data(), bytes.size());
-    carry_len_ = bytes.size();
-  }
+void StgtRecordDecoder::fail(const char* what) const {
+  throw TraceFormatError(
+      std::string(what) + " in '" + context_ + "' at offset " +
+      std::to_string(base_offset_ + decoded_ * kRecordBytes));
 }
 
 void StgtRecordDecoder::finish() const {

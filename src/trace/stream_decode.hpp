@@ -16,8 +16,10 @@
 // per-shard sequence number for observability.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <span>
 #include <string>
@@ -110,14 +112,17 @@ struct StgtRecord {
   StateInterval interval;
 };
 
-using StgtRecordSink = std::function<void(const StgtRecord&)>;
-
 /// Resumable decoder over byte ranges of an STGT *record section* (the
 /// fixed 24-byte records after the header and tables).  Feed slices in
 /// order; a record straddling two feeds carries over.  Records referencing
 /// out-of-range resource/state ids or with end < begin throw
 /// TraceFormatError naming the absolute file offset (base_offset plus the
 /// record's position), exactly like the whole-file reader.
+///
+/// feed() is a template over the sink (any callable taking
+/// `const StgtRecord&`), so every STGT reader — the whole-file trace and
+/// store readers, the streaming API and the model builder on top of it —
+/// runs one inlined record loop with no per-record indirect call.
 class StgtRecordDecoder {
  public:
   /// Record payload size: u32 resource | u32 state | i64 begin | i64 end.
@@ -127,7 +132,27 @@ class StgtRecordDecoder {
                     std::string context = "<stream>",
                     std::uint64_t base_offset = 0);
 
-  void feed(std::span<const std::uint8_t> bytes, const StgtRecordSink& sink);
+  template <class Sink>
+  void feed(std::span<const std::uint8_t> bytes, Sink&& sink) {
+    if (carry_len_ > 0) {
+      const std::size_t need =
+          std::min(kRecordBytes - carry_len_, bytes.size());
+      std::memcpy(carry_ + carry_len_, bytes.data(), need);
+      carry_len_ += need;
+      bytes = bytes.subspan(need);
+      if (carry_len_ < kRecordBytes) return;
+      carry_len_ = 0;
+      emit(carry_, sink);
+    }
+    while (bytes.size() >= kRecordBytes) {
+      emit(bytes.data(), sink);
+      bytes = bytes.subspan(kRecordBytes);
+    }
+    if (!bytes.empty()) {
+      std::memcpy(carry_, bytes.data(), bytes.size());
+      carry_len_ = bytes.size();
+    }
+  }
   /// Throws TraceFormatError when a partial record is pending.
   void finish() const;
 
@@ -136,7 +161,26 @@ class StgtRecordDecoder {
   }
 
  private:
-  void emit(const std::uint8_t* record, const StgtRecordSink& sink);
+  template <class Sink>
+  void emit(const std::uint8_t* record, Sink& sink) {
+    std::uint32_t ur = 0, ux = 0;
+    TimeNs begin = 0, end = 0;
+    std::memcpy(&ur, record, 4);
+    std::memcpy(&ux, record + 4, 4);
+    std::memcpy(&begin, record + 8, 8);
+    std::memcpy(&end, record + 16, 8);
+    if (ur >= resource_count_) fail("record references unknown resource");
+    if (ux >= state_count_) fail("record references unknown state");
+    if (end < begin) fail("record with end < begin");
+    const StgtRecord rec{static_cast<ResourceId>(ur),
+                         StateInterval{begin, end, static_cast<StateId>(ux)}};
+    sink(rec);
+    ++decoded_;
+  }
+  /// Throws TraceFormatError(`what` + context + absolute offset of the
+  /// current record).  Out of line: the happy path of a 10^8-record ingest
+  /// must not build strings.
+  [[noreturn]] void fail(const char* what) const;
 
   std::uint64_t resource_count_;
   std::uint64_t state_count_;

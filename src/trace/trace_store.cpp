@@ -234,8 +234,9 @@ void TraceStore::add_state(ResourceId resource, StateId state, TimeNs begin,
   if (end < begin) {
     throw InvalidArgument("add_state: end < begin");
   }
-  lanes_[static_cast<std::size_t>(resource)].tail.push_back(
-      StateInterval{begin, end, state});
+  const auto r = static_cast<std::size_t>(resource);
+  lanes_[r].tail.push_back(StateInterval{begin, end, state});
+  mark_dirty(r);
   sealed_ = false;
   ++generation_;
 }
@@ -305,7 +306,8 @@ void TraceStore::set_compression(ChunkCompression policy) {
   // Re-encode what is already sealed and resident, so a store that turns
   // compression on after ingest sees the footprint win immediately.
   bool changed = false;
-  for (Lane& lane : lanes_) {
+  for (std::size_t r = 0; r < lanes_.size(); ++r) {
+    Lane& lane = lanes_[r];
     std::vector<TraceChunkPtr> next;
     next.reserve(lane.chunks.size());
     bool lane_changed = false;
@@ -317,6 +319,9 @@ void TraceStore::set_compression(ChunkCompression policy) {
                      next[before].get() != original;
     }
     lane.chunks = std::move(next);
+    // Block splits can push the lane past the compaction threshold, so
+    // the next seal must visit it.
+    if (lane_changed) mark_dirty(r);
     changed = changed || lane_changed;
   }
   if (changed) ++generation_;
@@ -325,14 +330,16 @@ void TraceStore::set_compression(ChunkCompression policy) {
 
 void TraceStore::seal_chunk() {
   if (sealed_) return;
-  // Per-lane unlink lists: compaction runs inside the parallel region, so
-  // spill-record accounting is collected per lane and folded in serially.
+  // Only dirty lanes can hold a tail or a chunk list past the compaction
+  // threshold; every other lane is left untouched.  Per-lane unlink lists:
+  // compaction runs inside the parallel region, so spill-record accounting
+  // is collected per lane and folded in serially.
   std::vector<std::vector<std::shared_ptr<const ChunkPayload>>> unlinked(
-      lanes_.size());
+      dirty_lanes_.size());
   parallel_for(
-      lanes_.size(),
-      [this, &unlinked](std::size_t r) {
-        Lane& lane = lanes_[r];
+      dirty_lanes_.size(),
+      [this, &unlinked](std::size_t i) {
+        Lane& lane = lanes_[dirty_lanes_[i]];
         if (!lane.tail.empty()) {
           // Horizon stickiness: an interval ending at or below the
           // eviction horizon can never be read by a legal window (views
@@ -348,20 +355,30 @@ void TraceStore::seal_chunk() {
           }
         }
         if (!lane.tail.empty()) {
-          std::sort(lane.tail.begin(), lane.tail.end(), interval_key_less);
+          // Tails arriving in key order (sorted, resource-major files)
+          // skip the sort; equal keys are indistinguishable, so either
+          // way the chunk is the same.
+          if (!std::is_sorted(lane.tail.begin(), lane.tail.end(),
+                              interval_key_less)) {
+            std::sort(lane.tail.begin(), lane.tail.end(), interval_key_less);
+          }
           maybe_compress_into(TraceChunk::from_sorted(lane.tail),
                               lane.chunks);
           lane.tail.clear();
           lane.tail.shrink_to_fit();
         }
         if (lane.chunks.size() > kCompactionThreshold) {
-          compact_lane(lane, unlinked[r]);
+          compact_lane(lane, unlinked[i]);
         }
       },
       /*grain=*/1);
   for (const auto& lane_unlinked : unlinked) {
     for (const auto& payload : lane_unlinked) note_unlinked(payload.get());
   }
+  // Every visited lane is clean now: its tail is sealed and compaction
+  // leaves at most kCompactionThreshold - 1 chunks.
+  for (const std::size_t r : dirty_lanes_) lanes_[r].dirty = false;
+  dirty_lanes_.clear();
   derive_window();
   sealed_ = true;
   ++generation_;
@@ -489,7 +506,8 @@ void TraceStore::erase_before_exact(TimeNs cutoff) {
   // point-in-time operation (the Trace facade contract) and must not
   // retroactively delete intervals appended after the call.  Only
   // evict_before — the forward-moving-window API — is sticky.
-  for (Lane& lane : lanes_) {
+  for (std::size_t r = 0; r < lanes_.size(); ++r) {
+    Lane& lane = lanes_[r];
     std::vector<TraceChunkPtr> kept;
     kept.reserve(lane.chunks.size());
     for (TraceChunkPtr& c : lane.chunks) {
@@ -513,6 +531,8 @@ void TraceStore::erase_before_exact(TimeNs cutoff) {
       }
     }
     lane.chunks = std::move(kept);
+    // Rewritten straddlers may split into compressed blocks.
+    if (lane.chunks.size() > kCompactionThreshold) mark_dirty(r);
     std::erase_if(lane.tail, [cutoff](const StateInterval& s) {
       return s.end <= cutoff;
     });
@@ -568,6 +588,7 @@ void TraceStore::adopt_chunk(ResourceId r, TraceChunkPtr chunk) {
     throw InvalidArgument("adopt_chunk: null or empty chunk");
   }
   lanes_[static_cast<std::size_t>(r)].chunks.push_back(std::move(chunk));
+  mark_dirty(static_cast<std::size_t>(r));
   sealed_ = false;
   ++generation_;
 }
@@ -839,6 +860,29 @@ void TraceStore::audit() const {
 
   if (sealed_ && !tails_sealed()) {
     fail("store reports sealed() with a non-empty tail");
+  }
+
+  // Dirty list: the lanes seal_chunk() visits.  Each listed lane is
+  // flagged and listed once; every lane a seal must touch is listed.
+  std::vector<std::uint8_t> listed(lanes_.size(), 0);
+  for (const std::size_t r : dirty_lanes_) {
+    if (r >= lanes_.size() || !lanes_[r].dirty || listed[r] != 0) {
+      fail("dirty list entry " + std::to_string(r) +
+           " is out of range, unflagged or repeated");
+    }
+    listed[r] = 1;
+  }
+  for (std::size_t r = 0; r < lanes_.size(); ++r) {
+    const Lane& lane = lanes_[r];
+    if (lane.dirty && listed[r] == 0) {
+      fail("resource " + std::to_string(r) + " is flagged dirty but not "
+           "listed");
+    }
+    if (listed[r] == 0 && (!lane.tail.empty() ||
+                           lane.chunks.size() > kCompactionThreshold)) {
+      fail("resource " + std::to_string(r) + " needs a seal (tail or "
+           "chunk list past the compaction threshold) but is not dirty");
+    }
   }
 
   // Spill accounting: live record bytes sum exactly, and every live

@@ -5,13 +5,16 @@
 // A TraceStore holds, per resource, a list of *sealed* chunks — immutable,
 // columnar (SoA) runs of state intervals sorted by (begin, end, state),
 // each carrying min/max-time fences — plus one small mutable append tail.
-// seal_chunk() sorts every non-empty tail and freezes it into a new chunk;
-// evict_before() drops whole chunks whose fence proves they can never
-// overlap a window starting at the cutoff.  Sealed chunks are held by
-// shared_ptr and never mutated: any number of TraceView readers (windows,
-// hierarchy scopes, concurrent sessions) share them zero-copy, and
-// compaction or eviction in the store simply unlinks chunks that outstanding
-// views keep alive.
+// seal_chunk() visits only the lanes touched since the last seal (a
+// per-lane dirty flag plus a dirty list, set by add_state, adopt_chunk and
+// every layout change that can push a lane past the compaction threshold),
+// sorts a tail only when it is not already in key order, and freezes it
+// into a new chunk; evict_before() drops whole chunks whose fence proves
+// they can never overlap a window starting at the cutoff.  Sealed chunks
+// are held by shared_ptr and never mutated: any number of TraceView
+// readers (windows, hierarchy scopes, concurrent sessions) share them
+// zero-copy, and compaction or eviction in the store simply unlinks chunks
+// that outstanding views keep alive.
 //
 // Storage backends: a sealed chunk's payload is polymorphic (ChunkPayload).
 // The resident backend owns its columns as heap vectors; the file-backed
@@ -503,7 +506,8 @@ class TraceStore {
   /// Seals every non-empty tail into a new immutable chunk (sorted by the
   /// total key), re-derives the observation window from the chunk fences
   /// unless overridden, and compacts any resource whose chunk list exceeds
-  /// kCompactionThreshold.  Idempotent.
+  /// kCompactionThreshold.  Only dirty lanes are visited, so a seal costs
+  /// O(touched lanes), not O(resources).  Idempotent.
   void seal_chunk();
 
   /// True after seal_chunk() until the next mutation — all tails are
@@ -559,10 +563,6 @@ class TraceStore {
   /// must be sorted by the total key — binary_io validates this when it
   /// maps a record.  Unseals the store (call seal_chunk() when done).
   void adopt_chunk(ResourceId r, TraceChunkPtr chunk);
-  /// Mutable tail of one resource, in append order.
-  [[nodiscard]] std::span<const StateInterval> tail(ResourceId r) const {
-    return lanes_[static_cast<std::size_t>(r)].tail;
-  }
 
   /// Rebuilds the fully merged row view of one resource: sealed chunks
   /// k-way-merged by the total key, followed by the tail in append order
@@ -662,6 +662,9 @@ class TraceStore {
   ///   * tails: well-formed intervals over registered states;
   ///   * spill accounting: live record bytes sum to spill_live_bytes() and
   ///     every live record belongs to a chunk still linked in a lane;
+  ///   * dirty list: each listed lane flagged and listed once, and every
+  ///     lane with a tail or a chunk list past kCompactionThreshold listed
+  ///     (what lets seal_chunk() skip the rest);
   ///   * window: end >= begin, and equal to the fence-derived window when
   ///     sealed and not overridden.
   /// O(state_count()) — call it at stage boundaries (STAGG_AUDIT does, in
@@ -687,7 +690,16 @@ class TraceStore {
   struct Lane {
     std::vector<TraceChunkPtr> chunks;
     std::vector<StateInterval> tail;
+    /// Listed in dirty_lanes_: the next seal must visit this lane.
+    bool dirty = false;
   };
+
+  /// Queues lane r for the next seal_chunk() (idempotent).
+  void mark_dirty(std::size_t r) {
+    if (lanes_[r].dirty) return;
+    lanes_[r].dirty = true;
+    dirty_lanes_.push_back(r);
+  }
 
   void compact_lane(Lane& lane,
                     std::vector<std::shared_ptr<const ChunkPayload>>&
@@ -726,6 +738,10 @@ class TraceStore {
   std::unordered_map<std::string, ResourceId> resource_ids_;
   StateRegistry states_;
   std::vector<Lane> lanes_;
+  /// Lanes seal_chunk() must visit.  Invariant (audit() checks it): every
+  /// lane with a non-empty tail or more than kCompactionThreshold chunks is
+  /// listed, each listed lane exactly once and flagged dirty.
+  std::vector<std::size_t> dirty_lanes_;
   TimeNs begin_ = 0;
   TimeNs end_ = 0;
   /// Highest evict_before cutoff seen (erase_before_exact deliberately

@@ -215,7 +215,7 @@ TEST(StgtRecordDecoder, AnySliceSizeMatchesWholeBuffer) {
   for (std::size_t chunk = 1; chunk <= bytes.size(); ++chunk) {
     std::vector<StgtRecord> got;
     StgtRecordDecoder decoder(3, 2, "<t>");
-    const StgtRecordSink sink = [&got](const StgtRecord& r) {
+    const auto sink = [&got](const StgtRecord& r) {
       got.push_back(r);
     };
     for (std::size_t i = 0; i < bytes.size(); i += chunk) {
@@ -237,7 +237,7 @@ TEST(StgtRecordDecoder, AnySliceSizeMatchesWholeBuffer) {
 TEST(StgtRecordDecoder, TruncatedStreamFailsAtFinish) {
   const auto bytes = encode_records(sample_records());
   StgtRecordDecoder decoder(3, 2, "<t>");
-  const StgtRecordSink sink = [](const StgtRecord&) {};
+  const auto sink = [](const StgtRecord&) {};
   decoder.feed({bytes.data(), bytes.size() - 5}, sink);
   EXPECT_THROW(decoder.finish(), TraceFormatError);
 }
@@ -247,7 +247,7 @@ TEST(StgtRecordDecoder, UnknownIdsNameTheExactOffset) {
   records[4].resource = 99;  // out of range (3 resources)
   const auto bytes = encode_records(records);
   StgtRecordDecoder decoder(3, 2, "<t>", /*base_offset=*/1000);
-  const StgtRecordSink sink = [](const StgtRecord&) {};
+  const auto sink = [](const StgtRecord&) {};
   try {
     decoder.feed({bytes.data(), bytes.size()}, sink);
     FAIL() << "unknown resource id must throw";
@@ -264,7 +264,7 @@ TEST(StgtRecordDecoder, EndBeforeBeginRejected) {
       StgtRecord{0, StateInterval{50, 10, 0}}};
   const auto bytes = encode_records(records);
   StgtRecordDecoder decoder(1, 1, "<t>");
-  const StgtRecordSink sink = [](const StgtRecord&) {};
+  const auto sink = [](const StgtRecord&) {};
   EXPECT_THROW(decoder.feed({bytes.data(), bytes.size()}, sink),
                TraceFormatError);
 }

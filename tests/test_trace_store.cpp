@@ -1283,5 +1283,348 @@ TEST(TraceStoreIo, EvictBeforeMidStreamPreservesSuffixWindows) {
   std::remove(path.c_str());
 }
 
+// ---------------------------------------------------------------------------
+// Dirty-lane sealing: a seal visits only the lanes touched since the last
+// one, yet leaves exactly the layout a seal over every lane would.
+// ---------------------------------------------------------------------------
+
+/// Chunk identities of every lane (pointer equality = untouched chunk).
+std::vector<std::vector<const TraceChunk*>> chunk_ids(const TraceStore& s) {
+  std::vector<std::vector<const TraceChunk*>> out(s.resource_count());
+  for (std::size_t r = 0; r < out.size(); ++r) {
+    for (const TraceChunkPtr& c : s.chunks(static_cast<ResourceId>(r))) {
+      out[r].push_back(c.get());
+    }
+  }
+  return out;
+}
+
+TEST(TraceStore, SealLeavesUntouchedLanesChunkPointersUnchanged) {
+  TraceStore store;
+  const StateId x = store.states().intern("s");
+  for (int r = 0; r < 6; ++r) store.add_resource("r" + std::to_string(r));
+  for (int round = 0; round < 3; ++round) {
+    for (ResourceId r = 0; r < 6; ++r) {
+      store.add_state(r, x, round * 100 + r, round * 100 + r + 50);
+    }
+    store.seal_chunk();
+  }
+  const auto before = chunk_ids(store);
+  store.add_state(2, x, 1000, 1010);
+  store.seal_chunk();
+  const auto after = chunk_ids(store);
+  for (std::size_t r = 0; r < before.size(); ++r) {
+    if (r == 2) continue;
+    EXPECT_EQ(after[r], before[r]) << "resource " << r;
+  }
+  ASSERT_EQ(after[2].size(), before[2].size() + 1);
+  EXPECT_TRUE(
+      std::equal(before[2].begin(), before[2].end(), after[2].begin()));
+  EXPECT_NO_THROW(store.audit());
+}
+
+TEST(TraceStore, DirtyLaneSealStillCompactsReencodedAndAdoptedLanes) {
+  constexpr std::size_t kThreshold = TraceStore::kCompactionThreshold;
+  // Lane 0: three sealed raw chunks of 8 compressible blocks each, so
+  // set_compression(kAuto) splits it past the threshold without a seal.
+  // Lane 1: untouched bystander.  Lane 2: fed later by adopt_chunk.
+  TraceStore store;
+  const StateId x = store.states().intern("s");
+  for (int r = 0; r < 3; ++r) store.add_resource("r" + std::to_string(r));
+  const std::size_t per_chunk = 8 * TraceStore::kCompressedBlockIntervals;
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t k = 0; k < per_chunk; ++k) {
+      const auto b = static_cast<TimeNs>((round * per_chunk + k) * 10);
+      store.add_state(0, x, b, b + 5);
+    }
+    store.add_state(1, x, round, round + 1);
+    store.seal_chunk();
+  }
+  std::vector<StateInterval> rows0;
+  store.materialize(0, rows0);
+  store.set_compression(ChunkCompression::kAuto);
+  const std::vector<TraceChunkPtr> reencoded(store.chunks(0).begin(),
+                                             store.chunks(0).end());
+  ASSERT_GT(reencoded.size(), kThreshold);
+  EXPECT_NO_THROW(store.audit());
+
+  // Lane 2 gets more adopted chunks than the threshold in one go.
+  const std::size_t adopted = kThreshold + 4;
+  for (std::size_t k = 0; k < adopted; ++k) {
+    const auto b = static_cast<TimeNs>(k * 7);
+    store.adopt_chunk(2, TraceChunk::from_sorted(std::vector<StateInterval>{
+                             StateInterval{b, b + 3, x}}));
+  }
+  const auto bystander = chunk_ids(store)[1];
+  store.seal_chunk();  // touches only lane 2 through the public API
+
+  // Reference: the re-encoded chunk list arriving through adopt_chunk, the
+  // path every earlier seal visited.  Same chunks in, same compaction out.
+  TraceStore ref;
+  (void)ref.states().intern("s");
+  ref.add_resource("r0");
+  ref.set_compression(ChunkCompression::kAuto);
+  for (const TraceChunkPtr& c : reencoded) ref.adopt_chunk(0, c);
+  ref.seal_chunk();
+  ASSERT_EQ(store.chunks(0).size(), ref.chunks(0).size());
+  EXPECT_LE(store.chunks(0).size(), kThreshold);
+  for (std::size_t i = 0; i < ref.chunks(0).size(); ++i) {
+    EXPECT_EQ(store.chunks(0)[i]->size(), ref.chunks(0)[i]->size()) << i;
+  }
+  std::vector<StateInterval> after0;
+  store.materialize(0, after0);
+  EXPECT_EQ(after0, rows0);
+
+  // Size-tiered compaction of an all-singleton lane merges down to half
+  // the threshold.
+  EXPECT_EQ(store.chunks(2).size(), kThreshold / 2);
+  EXPECT_EQ(chunk_ids(store)[1], bystander);
+  EXPECT_NO_THROW(store.audit());
+}
+
+TEST(TraceStore, EraseRewriteSplitIsCompactedAtTheNextSeal) {
+  // A spilled raw chunk is not re-encoded by set_compression(kAuto); an
+  // exact erase that rewrites it splits the survivors into compressed
+  // blocks, past the threshold, without sealing.  The next seal — here
+  // triggered through another lane — must compact it.
+  TraceStore store;
+  const StateId x = store.states().intern("s");
+  store.add_resource("r0");
+  store.add_resource("r1");
+  const std::size_t n = 4 * TraceStore::kCompactionThreshold *
+                        TraceStore::kCompressedBlockIntervals;
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto b = static_cast<TimeNs>(k * 10);
+    store.add_state(0, x, b, b + 5);
+  }
+  store.seal_chunk();
+  const std::string spill = spill_path("erase_split");
+  std::remove(spill.c_str());
+  store.enable_spill(spill);
+  ASSERT_EQ(store.spill_cold(0), 1u);
+  store.set_compression(ChunkCompression::kAuto);
+  ASSERT_EQ(store.chunks(0).size(), 1u);
+  store.erase_before_exact(20);
+  ASSERT_GT(store.chunks(0).size(), TraceStore::kCompactionThreshold);
+  EXPECT_NO_THROW(store.audit());
+  std::vector<StateInterval> rows;
+  store.materialize(0, rows);
+
+  store.add_state(1, x, 0, 1);
+  store.seal_chunk();
+  EXPECT_LE(store.chunks(0).size(), TraceStore::kCompactionThreshold);
+  std::vector<StateInterval> after;
+  store.materialize(0, after);
+  EXPECT_EQ(after, rows);
+  EXPECT_NO_THROW(store.audit());
+  std::remove(spill.c_str());
+}
+
+/// Hand-encodes an STGT file (the library writer always emits sorted,
+/// resource-major records; these keep exactly the given order).  A
+/// `declared` count above records.size() leaves the section truncated.
+void write_raw_stgt(const std::string& path,
+                    const std::vector<std::string>& resources,
+                    const std::vector<std::string>& states, TimeNs begin,
+                    TimeNs end, const std::vector<StgtRecord>& records,
+                    std::uint64_t declared) {
+  std::vector<std::uint8_t> bytes;
+  const auto put = [&bytes](const auto& v) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
+    bytes.insert(bytes.end(), p, p + sizeof v);
+  };
+  const auto put_string = [&](const std::string& str) {
+    put(static_cast<std::uint32_t>(str.size()));
+    bytes.insert(bytes.end(), str.begin(), str.end());
+  };
+  bytes.insert(bytes.end(), {'S', 'T', 'G', 'T', 'R', 'C', '0', '1'});
+  put(static_cast<std::uint64_t>(resources.size()));
+  put(static_cast<std::uint64_t>(states.size()));
+  put(begin);
+  put(end);
+  put(declared);
+  for (const auto& r : resources) put_string(r);
+  for (const auto& x : states) put_string(x);
+  for (const StgtRecord& rec : records) {
+    put(static_cast<std::uint32_t>(rec.resource));
+    put(static_cast<std::uint32_t>(rec.interval.state));
+    put(rec.interval.begin);
+    put(rec.interval.end);
+  }
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Shuffled records interleaving every leaf of `h`, with duplicates and
+/// zero-duration intervals.
+std::vector<StgtRecord> shuffled_records(const Hierarchy& h,
+                                         std::uint64_t seed, int count) {
+  SplitMix64 mix(seed);
+  std::vector<StgtRecord> records;
+  for (int k = 0; k < count; ++k) {
+    const auto r = static_cast<ResourceId>(mix.next() % h.leaf_count());
+    const auto b = static_cast<TimeNs>(mix.next() % seconds(10.0));
+    const TimeNs d = mix.next() % 5 == 0
+                         ? 0
+                         : static_cast<TimeNs>(mix.next() % seconds(1.0));
+    records.push_back(
+        {r, StateInterval{b, b + d, static_cast<StateId>(mix.next() % 3)}});
+    if (mix.next() % 16 == 0) records.push_back(records.back());
+  }
+  return records;
+}
+
+std::vector<std::string> leaf_paths(const Hierarchy& h) {
+  std::vector<std::string> paths;
+  for (LeafId leaf = 0; leaf < static_cast<LeafId>(h.leaf_count()); ++leaf) {
+    paths.push_back(h.path(h.leaf_node(leaf)));
+  }
+  return paths;
+}
+
+TEST(TraceStoreIo, UnsortedInterleavedRecordsMatchTraceReader) {
+  const Hierarchy h = make_balanced_hierarchy(2, 3);
+  const std::vector<std::string> paths = leaf_paths(h);
+  const auto records = shuffled_records(h, 0x5EED, 2000);
+  const std::string path = temp_path("shuffled");
+  write_raw_stgt(path, paths, {"a", "b", "c"}, 0, seconds(11.0), records,
+                 records.size());
+
+  Trace read = read_binary_trace(path);
+  ModelBuildOptions opt;
+  opt.slice_count = 20;
+  const MicroscopicModel want = build_model(read, h, opt);
+  for (const std::size_t chunk_records : {64, 1 << 16}) {
+    const std::string ctx = "chunk_records " + std::to_string(chunk_records);
+    const auto store = read_binary_trace_store(path, chunk_records);
+    EXPECT_NO_THROW(store->audit()) << ctx;
+    ASSERT_EQ(store->state_count(), records.size()) << ctx;
+    std::vector<StateInterval> rows;
+    for (ResourceId r = 0; r < static_cast<ResourceId>(paths.size()); ++r) {
+      store->materialize(r, rows);
+      const auto want_rows = read.intervals(r);
+      ASSERT_EQ(rows.size(), want_rows.size()) << ctx << " resource " << r;
+      EXPECT_TRUE(std::equal(rows.begin(), rows.end(), want_rows.begin()))
+          << ctx << " resource " << r;
+    }
+    expect_models_equal(want, build_model(TraceView(store), h, opt), ctx);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceStoreIo, StoreReaderChunkLayoutIsPinned) {
+  // Per-lane chunk counts and store_bytes() of read_binary_trace_store on
+  // fixed files, recorded from the reader that sealed every lane at every
+  // seal: sealing only touched lanes and skipping sorts of sorted tails
+  // must leave the same layout, with and without compaction.
+  const Hierarchy h = make_balanced_hierarchy(2, 3);
+  Trace trace = make_random_trace(h, 0xC0DE, seconds(20.0), 300);
+  const std::string sorted = temp_path("pin_sorted");
+  write_binary_trace(trace, sorted);
+  const auto records = shuffled_records(h, 0x5EED, 2000);
+  const std::string shuffled = temp_path("pin_shuffled");
+  write_raw_stgt(shuffled, leaf_paths(h), {"a", "b", "c"}, 0, seconds(11.0),
+                 records, records.size());
+  struct Pin {
+    const std::string* path;
+    std::size_t chunk_records;
+    std::size_t store_bytes;
+    std::vector<std::size_t> chunks;
+  };
+  const Pin pins[] = {
+      {&sorted, 16, 54000, {10, 11, 11, 10, 10, 11, 11, 10, 10}},
+      {&sorted, 64, 54000, {5, 6, 6, 5, 6, 6, 5, 6, 6}},
+      {&sorted, 1 << 16, 54000, {1, 1, 1, 1, 1, 1, 1, 1, 1}},
+      {&shuffled, 16, 42680, {10, 11, 11, 11, 11, 16, 13, 11, 16}},
+      {&shuffled, 64, 42680, {16, 16, 16, 16, 16, 16, 16, 16, 16}},
+      {&shuffled, 1 << 16, 42680, {1, 1, 1, 1, 1, 1, 1, 1, 1}},
+  };
+  for (const Pin& pin : pins) {
+    const auto store = read_binary_trace_store(*pin.path, pin.chunk_records);
+    std::vector<std::size_t> chunks;
+    for (ResourceId r = 0; r < static_cast<ResourceId>(store->resource_count());
+         ++r) {
+      chunks.push_back(store->chunks(r).size());
+    }
+    EXPECT_EQ(chunks, pin.chunks) << *pin.path << " / " << pin.chunk_records;
+    EXPECT_EQ(store->store_bytes(), pin.store_bytes)
+        << *pin.path << " / " << pin.chunk_records;
+  }
+  std::remove(sorted.c_str());
+  std::remove(shuffled.c_str());
+}
+
+/// what() of the TraceFormatError `read` throws ("" when it does not).
+template <class Read>
+std::string format_error(Read&& read) {
+  try {
+    read();
+  } catch (const TraceFormatError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TraceStoreIo, MalformedRecordsFailAlikeThroughStoreAndTraceReaders) {
+  const std::vector<std::string> resources = {"r0", "r1"};
+  const std::vector<std::string> states = {"s"};
+  // 48-byte header, then u32-length-prefixed tables.
+  const std::uint64_t base = 48 + (4 + 2) * 2 + (4 + 1);
+  std::vector<StgtRecord> good;
+  for (int k = 0; k < 10; ++k) {
+    good.push_back({k % 2, StateInterval{k * 10, k * 10 + 5, 0}});
+  }
+  struct Case {
+    const char* name;
+    std::size_t bad_index;
+    StgtRecord bad;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"unknown_resource", 7, {2, StateInterval{0, 1, 0}},
+       "record references unknown resource"},
+      {"unknown_state", 3, {1, StateInterval{0, 1, 1}},
+       "record references unknown state"},
+      {"end_before_begin", 5, {0, StateInterval{9, 4, 0}},
+       "record with end < begin"},
+  };
+  for (const Case& c : cases) {
+    auto records = good;
+    records[c.bad_index] = c.bad;
+    const std::string path = temp_path(c.name);
+    write_raw_stgt(path, resources, states, 0, 100, records, records.size());
+    const std::string want = "trace format error: " + std::string(c.message) +
+                             " in '" + path + "' at offset " +
+                             std::to_string(base + c.bad_index * 24);
+    EXPECT_EQ(format_error([&] { (void)read_binary_trace(path); }), want);
+    for (const std::size_t chunk_records : {4, 1 << 16}) {
+      EXPECT_EQ(format_error([&] {
+                  (void)read_binary_trace_store(path, chunk_records);
+                }),
+                want)
+          << c.name << " chunk_records " << chunk_records;
+    }
+    std::remove(path.c_str());
+  }
+
+  // Truncated record section: 10 records present, 13 declared.
+  const std::string path = temp_path("truncated_records");
+  write_raw_stgt(path, resources, states, 0, 100, good, good.size() + 3);
+  const std::string want =
+      format_error([&] { (void)read_binary_trace(path); });
+  EXPECT_NE(want.find("truncated"), std::string::npos) << want;
+  EXPECT_NE(want.find("offset " + std::to_string(base)), std::string::npos)
+      << want;
+  for (const std::size_t chunk_records : {4, 1 << 16}) {
+    EXPECT_EQ(format_error([&] {
+                (void)read_binary_trace_store(path, chunk_records);
+              }),
+              want)
+        << "chunk_records " << chunk_records;
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace stagg
