@@ -10,11 +10,11 @@
 // instead of once per probe.  This bench measures:
 //   - a single run(p) with each kernel (cold cache vs per-cell recompute);
 //   - a 32-probe p-sweep three ways: repeated seed-style run(p) on the
-//     reference kernel, a cached-kernel run(p) loop (the PR 1 kernel —
-//     one solo DP sweep per probe, per-probe trajectory), and one
+//     reference kernel, a run(p) loop on the default cached kernel (one
+//     W = 1 DP sweep per probe, per-probe trajectory), and one
 //     lane-batched run_many call (the headline comparison);
 //   - the cache-build vs per-p kernel split of the batched sweep and the
-//     additional lane speedup over the solo cached kernel;
+//     additional lane speedup over the W = 1 run(p) loop;
 // and asserts all strategies produce bit-identical pIC and identical
 // partitions on every probe.  With --json (or in --smoke CI mode) it emits
 // a BENCH_multi_p.json trajectory file: one record per probe with the
@@ -132,17 +132,14 @@ int run(int argc, const char* const* argv) {
     }
   }
 
-  // After (a): the PR 1 cached kernel (DpKernel::kCachedSolo — one solo DP
-  // sweep per probe, per-cut epsilon evaluation) driven probe-by-probe
-  // through run(p); the first probe pays the one-time measure-cache
-  // build.  This sweep provides the per-probe trajectory and the baseline
-  // the lane batching is measured against.
+  // After (a): the default cached kernel driven probe-by-probe through
+  // run(p), one W = 1 DP sweep per probe; the first probe pays the
+  // one-time measure-cache build.  This sweep provides the per-probe
+  // trajectory and the baseline the lane batching is measured against.
   std::vector<AggregationResult> warm_results;
   SweepTiming cached_t;
   for (std::size_t rep = 0; rep < reps; ++rep) {
-    AggregationOptions solo_opt;
-    solo_opt.kernel = DpKernel::kCachedSolo;
-    SpatiotemporalAggregator cached(om.model, solo_opt);
+    SpatiotemporalAggregator cached(om.model);
     std::vector<AggregationResult> results;
     const SweepTiming t = sweep(cached, ps, results);
     if (rep == 0 || t.total_s < cached_t.total_s) {
@@ -192,22 +189,22 @@ int run(int argc, const char* const* argv) {
   const double per_p_kernel_s =
       (batched_s - cache_build_s) / static_cast<double>(n_probes);
   const double speedup = ref_t.total_s / std::max(batched_s, 1e-12);
-  // Additional win of the lane batching alone: the PR 1 solo cached
-  // kernel's sweep vs the lane-batched sweep — both pay the same one-time
-  // cache build, so this isolates the lane-batched scan's effect.
+  // Additional win of the lane batching alone: the W = 1 run(p) loop vs
+  // the lane-batched sweep — both pay the same one-time cache build, so
+  // this isolates the lane-batched scan's effect.
   const double lane_speedup = cached_t.total_s / std::max(batched_s, 1e-12);
 
   std::printf("single run(p=0)     : reference %s | cached (incl. cache "
               "build) %s\n",
               format_seconds(single_ref).c_str(),
               format_seconds(single_cached).c_str());
-  std::printf("%zu-probe sweep     : reference %s | PR1 solo cached loop %s | "
+  std::printf("%zu-probe sweep     : reference %s | cached run(p) loop %s | "
               "run_many (W=%zu) %s  =>  %.2fx vs reference\n",
               n_probes, format_seconds(ref_t.total_s).c_str(),
               format_seconds(cached_t.total_s).c_str(), lane_width,
               format_seconds(batched_s).c_str(), speedup);
-  std::printf("lane batching       : %.2fx additional over the PR 1 solo "
-              "cached kernel (%zu probes per DP sweep)\n",
+  std::printf("lane batching       : %.2fx additional over the W = 1 "
+              "run(p) loop (%zu probes per DP sweep)\n",
               lane_speedup, lane_width);
   std::printf("run_many split      : cache build %s (once) + %s per probe\n",
               format_seconds(cache_build_s).c_str(),

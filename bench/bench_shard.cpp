@@ -22,8 +22,9 @@
 //
 // The SIMD-rider measurement times the DP sweep of the same sharded model
 // at lane widths 4 and 8 (the transposed, lane-interleaved count layout
-// makes the tie-break scan width-scalable) and reports where wider lanes
-// win.  --smoke emits BENCH_shard.json for CI.
+// makes the tie-break scan width-scalable), alternating the two widths
+// sample by sample so host drift lands on both, and reports the medians.
+// --smoke emits BENCH_shard.json for CI.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -310,6 +311,8 @@ int run(int argc, const char* const* argv) {
   // ---- SIMD rider: DP sweep at lane widths 4 vs 8 over the sharded model.
   // The lane-interleaved count mirror makes the tie-break scan a
   // contiguous W-wide pass; this measures whether W = 8 pays off here.
+  // Samples alternate widths (and which width goes first in each pair),
+  // so drift between samples cannot favour one width.
   double lanes4_s = 0.0;
   double lanes8_s = 0.0;
   {
@@ -325,25 +328,46 @@ int run(int argc, const char* const* argv) {
         TraceView(store, window.begin(), window.end()), w.hierarchy, build);
     const std::vector<double> wide_ps = {0.0,  0.15, 0.3,  0.45,
                                          0.55, 0.7,  0.85, 1.0};
-    const auto time_lanes = [&](std::size_t lanes) {
+    const auto make_agg = [&](std::size_t lanes) {
       AggregationOptions opt;
       opt.shard_plan = &plan;
       opt.max_lanes = lanes;
-      SpatiotemporalAggregator agg(model, opt);
-      (void)agg.run_many(wide_ps);  // pay the cache build outside the timer
+      return SpatiotemporalAggregator(model, opt);
+    };
+    SpatiotemporalAggregator agg4 = make_agg(4);
+    SpatiotemporalAggregator agg8 = make_agg(8);
+    // Pay both cache builds outside the timer.
+    const auto r4 = agg4.run_many(wide_ps);
+    const auto r8 = agg8.run_many(wide_ps);
+    all_identical = all_identical && results_equal(r4, r8);
+    const auto time_sweep = [&](SpatiotemporalAggregator& agg) {
       Stopwatch sw;
       const auto results = agg.run_many(wide_ps);
       const double elapsed = sw.seconds();
-      return std::make_pair(elapsed, results);
+      all_identical = all_identical && results_equal(results, r4);
+      return elapsed;
     };
-    auto [t4, r4] = time_lanes(4);
-    auto [t8, r8] = time_lanes(8);
-    lanes4_s = t4;
-    lanes8_s = t8;
-    all_identical = all_identical && results_equal(r4, r8);
-    std::printf("lane width (8 probes, S = 4 plan): W = 4 %.1f ms, W = 8 "
-                "%.1f ms -> %s\n",
-                lanes4_s * 1e3, lanes8_s * 1e3,
+    constexpr int kLaneSamples = 7;
+    std::vector<double> t4;
+    std::vector<double> t8;
+    for (int k = 0; k < kLaneSamples; ++k) {
+      if (k % 2 == 0) {
+        t4.push_back(time_sweep(agg4));
+        t8.push_back(time_sweep(agg8));
+      } else {
+        t8.push_back(time_sweep(agg8));
+        t4.push_back(time_sweep(agg4));
+      }
+    }
+    const auto median = [](std::vector<double> v) {
+      std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+      return v[v.size() / 2];
+    };
+    lanes4_s = median(t4);
+    lanes8_s = median(t8);
+    std::printf("lane width (8 probes, S = 4 plan, median of %d alternating "
+                "samples): W = 4 %.1f ms, W = 8 %.1f ms -> %s\n",
+                kLaneSamples, lanes4_s * 1e3, lanes8_s * 1e3,
                 lanes8_s < lanes4_s ? "wider lanes win here"
                                     : "W = 4 stays the default");
   }

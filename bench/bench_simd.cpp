@@ -9,9 +9,8 @@
 //                  column kernel feeding MeasureCache::build) vs
 //                  measures_column_reference_into over every (node, column)
 //                  of the same cube.
-//   codec rows   — the trace/codec_kernels.hpp pre-pass kernels
-//                  (delta+zigzag, dictionary indices, fence min/max)
-//                  against their codec::ref twins on synthetic columns.
+//   codec row    — the trace/codec_kernels.hpp dictionary-index kernel
+//                  against its codec::ref twin on a synthetic column.
 //
 // Every comparison is gated bit-identical: the wrappers batch independent
 // lanes/columns and never reorder an accumulation chain, so SIMD-on and
@@ -204,44 +203,23 @@ int run(int argc, const char* const* argv) {
               states, cache_simd_s * 1e3, cache_scalar_s * 1e3,
               cache_speedup);
 
-  // ---- codec rows: pre-pass kernels vs codec::ref twins.  No bar: at
-  // -O3 with -march=native the ref twins themselves auto-vectorize, so
-  // these ratios hover near 1x — encode_columns wins by computing each
-  // candidate stream once (measure and encode share the arrays), not by
-  // beating the autovectorizer per element. -----------------------------
+  // ---- codec row: the dictionary-index kernel vs its codec::ref twin.
+  // No bar; it is reported so a regression of the one vector codec
+  // kernel shows. ----------------------------------------------------------
   std::vector<CodecRow> codec_rows;
   {
     const std::size_t n = smoke ? (std::size_t{1} << 15) : (std::size_t{1} << 17);
-    std::vector<std::int64_t> col_begin(n);
     std::vector<std::int32_t> col_state(n);
-    std::int64_t t = 5'000'000;
     for (std::size_t i = 0; i < n; ++i) {
-      t += 200 + static_cast<std::int64_t>((i * 733) % 411);
-      col_begin[i] = t;
       col_state[i] = static_cast<std::int32_t>((i * 7) % 64) * 3 + 1;
     }
     std::vector<std::int32_t> dict(64);
     for (std::size_t d = 0; d < dict.size(); ++d) {
       dict[d] = static_cast<std::int32_t>(d) * 3 + 1;
     }
-    simd::AlignedVec<std::uint64_t> out_a(n);
-    simd::AlignedVec<std::uint64_t> out_b(n);
     simd::AlignedVec<std::int32_t> idx_a(n);
     simd::AlignedVec<std::int32_t> idx_b(n);
     const int codec_rounds = rounds * 3;
-
-    CodecRow delta_row{"delta_zigzag"};
-    delta_row.simd_s = best_of(codec_rounds, [&] {
-      codec::delta_column(col_begin.data(), n, out_a.data());
-      codec::zigzag_u64(out_a.data(), n);
-    });
-    delta_row.scalar_s = best_of(codec_rounds, [&] {
-      codec::ref::delta_column(col_begin.data(), n, out_b.data());
-      codec::ref::zigzag_u64(out_b.data(), n);
-    });
-    identical = identical &&
-                std::equal(out_a.begin(), out_a.end(), out_b.begin());
-    codec_rows.push_back(delta_row);
 
     CodecRow dict_row{"dict_indices"};
     dict_row.simd_s = best_of(codec_rounds, [&] {
@@ -255,20 +233,6 @@ int run(int argc, const char* const* argv) {
     identical = identical &&
                 std::equal(idx_a.begin(), idx_a.end(), idx_b.begin());
     codec_rows.push_back(dict_row);
-
-    CodecRow minmax_row{"minmax_fences"};
-    std::int64_t lo_a = 0;
-    std::int64_t hi_a = 0;
-    std::int64_t lo_b = 0;
-    std::int64_t hi_b = 0;
-    minmax_row.simd_s = best_of(codec_rounds, [&] {
-      codec::minmax_i64(col_begin.data(), n, lo_a, hi_a);
-    });
-    minmax_row.scalar_s = best_of(codec_rounds, [&] {
-      codec::ref::minmax_i64(col_begin.data(), n, lo_b, hi_b);
-    });
-    identical = identical && lo_a == lo_b && hi_a == hi_b;
-    codec_rows.push_back(minmax_row);
 
     for (const CodecRow& row : codec_rows) {
       std::printf("codec %-14s: simd %8.3f ms, scalar %8.3f ms -> %.2fx\n",

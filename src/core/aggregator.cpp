@@ -136,7 +136,6 @@ void SpatiotemporalAggregator::check_budget(std::size_t lanes) const {
 
 std::size_t SpatiotemporalAggregator::lane_width(
     std::size_t probe_count) const noexcept {
-  if (options_.kernel == DpKernel::kCachedSolo) return 1;
   return std::min({options_.max_lanes, kMaxDpLanes,
                    std::max<std::size_t>(probe_count, 1)});
 }
@@ -234,7 +233,7 @@ SpatiotemporalAggregator::LaneScan SpatiotemporalAggregator::make_scan(
   return scan;
 }
 
-template <int W, bool Filtered, bool Vec>
+template <int W, bool Vec>
 void SpatiotemporalAggregator::compute_cell_lanes(const LaneScan& scan,
                                                   SliceId i,
                                                   SliceId j) const noexcept {
@@ -251,7 +250,7 @@ void SpatiotemporalAggregator::compute_cell_lanes(const LaneScan& scan,
   // "No cut": the area itself is one aggregate (Eq. 4) — a multiply-add of
   // every lane's p over the one cached p-independent (gain, loss) pair.
   // The expression (operand order included) is the reference kernel's, so
-  // each lane stays bit-identical to a solo run at its p.
+  // each lane stays bit-identical to a reference run at its p.
   const AreaMeasures& m = scan.meas[cell];
   double best[W];
   std::int32_t best_cut[W];
@@ -331,23 +330,18 @@ void SpatiotemporalAggregator::compute_cell_lanes(const LaneScan& scan,
   // the column-major mirror where column j is contiguous — with the lane
   // interleave both are flat W-wide streams.
   //
-  // Threshold scan (Filtered, the production kernel): each lane keeps the
-  // conservative challenge_threshold of its current (best, count) state,
-  // so the hot loop over cut positions is a bare add-and-compare per lane
-  // with no epsilon arithmetic at all; only cuts at or above a lane's
-  // threshold evaluate the reference kernel's exact accept-and-tie-break
-  // logic (same cut order, same operations — bit-identical), and the
-  // threshold is conservative, so no state-changing candidate is ever
-  // screened out.  The W lanes' independent compare chains are what the
-  // batching buys: one pass over the streams feeds W superscalar-parallel
-  // per-lane pipelines, where the solo kernel re-walked the streams per
-  // probe.  With Filtered = false (kCachedSolo, the PR 1 formulation)
-  // every cut evaluates the reference challenge directly.
-  double thr[Filtered ? W : 1];
-  if constexpr (Filtered) {
-    for (int w = 0; w < W; ++w) {
-      thr[w] = challenge_threshold(best[w], best_count[w]);
-    }
+  // Threshold scan: each lane keeps the conservative challenge_threshold
+  // of its current (best, count) state, so the hot loop over cut positions
+  // is a bare add-and-compare per lane with no epsilon arithmetic at all;
+  // only cuts at or above a lane's threshold evaluate the reference
+  // kernel's exact accept-and-tie-break logic (same cut order, same
+  // operations — bit-identical), and the threshold is conservative, so no
+  // state-changing candidate is ever screened out.  The W lanes'
+  // independent compare chains are what the batching buys: one pass over
+  // the streams feeds W superscalar-parallel per-lane pipelines.
+  double thr[W];
+  for (int w = 0; w < W; ++w) {
+    thr[w] = challenge_threshold(best[w], best_count[w]);
   }
   const double* left = scan.pic + row * W;
   const double* right =
@@ -369,55 +363,45 @@ void SpatiotemporalAggregator::compute_cell_lanes(const LaneScan& scan,
       best[w] = std::max(best[w], v);
       best_cut[w] = i + k;
       best_count[w] = count;
-      if constexpr (Filtered) {
-        thr[w] = challenge_threshold(best[w], best_count[w]);
-      }
+      thr[w] = challenge_threshold(best[w], best_count[w]);
     }
   };
 
   for (std::int32_t k = 0; k < len; ++k) {
-    if constexpr (Filtered) {
-      // Branch-free W-wide screen: candidate values and threshold
-      // comparisons for the whole wave are computed before any lane's
-      // challenge runs (the adds and compares vectorize over the
-      // lane-interleaved pIC and transposed count streams); only a wave
-      // with at least one passing lane enters the scalar challenge path.
-      // A lane's challenge can only move its own threshold, and the
-      // original scalar loop also compared lane w against thr[w] as it
-      // stood *before* cut k's challenges — so hoisting the compares
-      // never changes which cuts are evaluated, and results stay
-      // bit-identical.
-      double v[W];
-      int any_pass = 0;
-      if constexpr (kVec) {
-        // The screen adds are per-lane (independent chains) and the >=
-        // mask matches the scalar compare exactly (ordered, quiet-NaN
-        // false), so pass/fail decisions are identical; passing lanes
-        // still run the scalar challenge below in lane order.
-        for (int w = 0; w < W; w += 4) {
-          const simd::f64x4 vv =
-              simd::f64x4::load(left + static_cast<std::size_t>(k) * W + w) +
-              simd::f64x4::load(right + static_cast<std::size_t>(k) * W + w);
-          vv.store(v + w);
-          any_pass |= vv.ge_mask(simd::f64x4::load(thr + w));
-        }
-      } else {
-        for (int w = 0; w < W; ++w) {
-          v[w] = left[static_cast<std::size_t>(k) * W + w] +
-                 right[static_cast<std::size_t>(k) * W + w];
-          any_pass |= static_cast<int>(v[w] >= thr[w]);
-        }
-      }
-      if (any_pass != 0) {
-        for (int w = 0; w < W; ++w) {
-          if (v[w] >= thr[w]) challenge(k, w, v[w]);
-        }
+    // Branch-free W-wide screen: candidate values and threshold
+    // comparisons for the whole wave are computed before any lane's
+    // challenge runs (the adds and compares vectorize over the
+    // lane-interleaved pIC and transposed count streams); only a wave
+    // with at least one passing lane enters the scalar challenge path.
+    // A lane's challenge can only move its own threshold, and the
+    // original scalar loop also compared lane w against thr[w] as it
+    // stood *before* cut k's challenges — so hoisting the compares
+    // never changes which cuts are evaluated, and results stay
+    // bit-identical.
+    double v[W];
+    int any_pass = 0;
+    if constexpr (kVec) {
+      // The screen adds are per-lane (independent chains) and the >=
+      // mask matches the scalar compare exactly (ordered, quiet-NaN
+      // false), so pass/fail decisions are identical; passing lanes
+      // still run the scalar challenge below in lane order.
+      for (int w = 0; w < W; w += 4) {
+        const simd::f64x4 vv =
+            simd::f64x4::load(left + static_cast<std::size_t>(k) * W + w) +
+            simd::f64x4::load(right + static_cast<std::size_t>(k) * W + w);
+        vv.store(v + w);
+        any_pass |= vv.ge_mask(simd::f64x4::load(thr + w));
       }
     } else {
       for (int w = 0; w < W; ++w) {
-        const double v = left[static_cast<std::size_t>(k) * W + w] +
-                         right[static_cast<std::size_t>(k) * W + w];
-        challenge(k, w, v);
+        v[w] = left[static_cast<std::size_t>(k) * W + w] +
+               right[static_cast<std::size_t>(k) * W + w];
+        any_pass |= static_cast<int>(v[w] >= thr[w]);
+      }
+    }
+    if (any_pass != 0) {
+      for (int w = 0; w < W; ++w) {
+        if (v[w] >= thr[w]) challenge(k, w, v[w]);
       }
     }
   }
@@ -450,7 +434,7 @@ void SpatiotemporalAggregator::compute_cell_lanes(const LaneScan& scan,
   }
 }
 
-template <int W, bool Filtered, bool Vec>
+template <int W, bool Vec>
 void SpatiotemporalAggregator::compute_node_lanes_w(const LaneScan& scan,
                                                     bool wavefront,
                                                     SliceId first_dirty) {
@@ -463,7 +447,7 @@ void SpatiotemporalAggregator::compute_node_lanes_w(const LaneScan& scan,
     // read, never written.
     for (SliceId i = n_t - 1; i >= 0; --i) {
       for (SliceId j = std::max(i, first_dirty); j < n_t; ++j) {
-        compute_cell_lanes<W, Filtered, Vec>(scan, i, j);
+        compute_cell_lanes<W, Vec>(scan, i, j);
       }
     }
     return;
@@ -476,7 +460,7 @@ void SpatiotemporalAggregator::compute_node_lanes_w(const LaneScan& scan,
   // cannot affect results.  Dirty sweeps clip each anti-diagonal to the
   // cells with j = i + len >= first_dirty.
   for (SliceId i = std::max<SliceId>(0, first_dirty); i < n_t; ++i) {
-    compute_cell_lanes<W, Filtered, Vec>(scan, i, i);
+    compute_cell_lanes<W, Vec>(scan, i, i);
   }
   const std::size_t threads =
       std::max<std::size_t>(1, ThreadPool::shared().size());
@@ -489,7 +473,7 @@ void SpatiotemporalAggregator::compute_node_lanes_w(const LaneScan& scan,
         n,
         [&](std::size_t k) {
           const auto i = static_cast<SliceId>(i_lo + static_cast<SliceId>(k));
-          compute_cell_lanes<W, Filtered, Vec>(scan, i, i + len);
+          compute_cell_lanes<W, Vec>(scan, i, i + len);
         },
         grain);
   }
@@ -499,31 +483,26 @@ void SpatiotemporalAggregator::compute_node_lanes(const LaneScan& scan,
                                                   bool wavefront,
                                                   SliceId first_dirty) {
   // One instantiation per width keeps the per-cell lane loops at a
-  // compile-time trip count the optimizer can unroll.  kCachedSolo (the
-  // PR 1 kernel) always runs width 1, unfiltered.
-  if (options_.kernel == DpKernel::kCachedSolo) {
-    compute_node_lanes_w<1, false, false>(scan, wavefront, first_dirty);
-    return;
-  }
+  // compile-time trip count the optimizer can unroll.
   // Vector instantiations exist only at the widths divisible by the f64x4
   // lane count; use_simd = false (or a scalar-forced build, where the
   // wrappers alias their scalar twins) routes those widths to the scalar
   // twin — the baseline bench_simd measures against.
   const bool vec = options_.use_simd;
   switch (scan.lanes) {
-    case 1: compute_node_lanes_w<1, true, false>(scan, wavefront, first_dirty); break;
-    case 2: compute_node_lanes_w<2, true, false>(scan, wavefront, first_dirty); break;
-    case 3: compute_node_lanes_w<3, true, false>(scan, wavefront, first_dirty); break;
+    case 1: compute_node_lanes_w<1, false>(scan, wavefront, first_dirty); break;
+    case 2: compute_node_lanes_w<2, false>(scan, wavefront, first_dirty); break;
+    case 3: compute_node_lanes_w<3, false>(scan, wavefront, first_dirty); break;
     case 4:
-      if (vec) compute_node_lanes_w<4, true, true>(scan, wavefront, first_dirty);
-      else compute_node_lanes_w<4, true, false>(scan, wavefront, first_dirty);
+      if (vec) compute_node_lanes_w<4, true>(scan, wavefront, first_dirty);
+      else compute_node_lanes_w<4, false>(scan, wavefront, first_dirty);
       break;
-    case 5: compute_node_lanes_w<5, true, false>(scan, wavefront, first_dirty); break;
-    case 6: compute_node_lanes_w<6, true, false>(scan, wavefront, first_dirty); break;
-    case 7: compute_node_lanes_w<7, true, false>(scan, wavefront, first_dirty); break;
+    case 5: compute_node_lanes_w<5, false>(scan, wavefront, first_dirty); break;
+    case 6: compute_node_lanes_w<6, false>(scan, wavefront, first_dirty); break;
+    case 7: compute_node_lanes_w<7, false>(scan, wavefront, first_dirty); break;
     case 8:
-      if (vec) compute_node_lanes_w<8, true, true>(scan, wavefront, first_dirty);
-      else compute_node_lanes_w<8, true, false>(scan, wavefront, first_dirty);
+      if (vec) compute_node_lanes_w<8, true>(scan, wavefront, first_dirty);
+      else compute_node_lanes_w<8, false>(scan, wavefront, first_dirty);
       break;
     default: break;  // unreachable: lane_width clamps to kMaxDpLanes
   }

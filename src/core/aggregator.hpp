@@ -36,17 +36,16 @@
 // (gain, loss) cell and the cut-candidate streams feeds W independent
 // per-lane compare chains (superscalar-parallel, with a conservative
 // per-lane challenge threshold keeping the epsilon tie-break arithmetic
-// off the hot path) where the solo kernel re-walked the streams and
-// re-derived the epsilon bounds once per probe.
+// off the hot path), where W = 1 walks the streams once per probe.
 //
 // Bit-identity guarantee: each lane performs exactly the reference kernel's
 // arithmetic (same expressions, same operand order, same epsilon-guarded
 // tie-breaking; the threshold screen provably never drops a state-changing
 // candidate), so every lane of every wave is bit-identical in pIC and
-// identical in partition to a solo DpKernel::kReference run at that p —
+// identical in partition to a DpKernel::kReference run at that p —
 // regardless of lane width, wave grouping, duplicate parameters, or arena
 // reuse.  tests/test_measure_cache.cpp asserts this with EXPECT_EQ on
-// doubles across W ∈ {1, 4, 8} and the solo kernel.
+// doubles across W ∈ {1, 4, 8} and their remainder waves.
 //
 // The DP buffers are pooled and reused between runs and waves (no per-run
 // allocation); the kernel keeps a column-major mirror of each node's pIC
@@ -73,16 +72,14 @@ namespace stagg {
 
 /// DP kernel selection.  kCachedWavefront is the production kernel
 /// (MeasureCache + lane batching + threshold-filtered scan + wavefront +
-/// pooled buffers).  kCachedSolo is the previous generation (measure
-/// cache + wavefront, one probe per DP sweep, per-cut epsilon evaluation —
-/// the PR 1 kernel), kept as the lane-batching bench baseline and a fast
-/// second equivalence oracle.  kReference recomputes every cell's measures
-/// from the cube and frees its buffers after each run — the original
-/// per-cell formulation and the primary equivalence-test oracle.  All
-/// three produce bit-identical pIC values and identical partitions.
+/// pooled buffers); driven through run(p), one lane per DP sweep, it is
+/// also the baseline of the lane-batching benches.  kReference recomputes
+/// every cell's measures from the cube and frees its buffers after each
+/// run — the original per-cell formulation and the equivalence-test
+/// oracle.  Both produce bit-identical pIC values and identical
+/// partitions.
 enum class DpKernel : std::uint8_t {
   kCachedWavefront,
-  kCachedSolo,
   kReference,
 };
 
@@ -340,20 +337,18 @@ class SpatiotemporalAggregator {
   void sweep_level(std::span<const NodeId> nodes, std::span<const double> ps,
                    double gain_scale, double loss_scale, SliceId first_dirty);
 
-  /// Filtered = false drops the conservative challenge-threshold screen
-  /// and evaluates the reference predicate at every cut — the kCachedSolo
-  /// (PR 1) formulation.  Vec = true (lane widths divisible by 4 only,
-  /// selected by options_.use_simd) routes the across-lane batches — the
-  /// no-cut multiply-add, the spatial child fold, the temporal screen and
-  /// the writeback — through the simd.hpp wrappers; Vec = false is the
+  /// Vec = true (lane widths divisible by 4 only, selected by
+  /// options_.use_simd) routes the across-lane batches — the no-cut
+  /// multiply-add, the spatial child fold, the temporal screen and the
+  /// writeback — through the simd.hpp wrappers; Vec = false is the
   /// always-instantiated scalar twin, bit-identical by the across-chains
   /// vectorization rule.
-  template <int W, bool Filtered, bool Vec>
+  template <int W, bool Vec>
   void compute_cell_lanes(const LaneScan& scan, SliceId i,
                           SliceId j) const noexcept;
   /// Sweeps the cells with j >= first_dirty (0 = the full triangle) in a
   /// dependency-respecting order; `wavefront` parallelizes anti-diagonals.
-  template <int W, bool Filtered, bool Vec>
+  template <int W, bool Vec>
   void compute_node_lanes_w(const LaneScan& scan, bool wavefront,
                             SliceId first_dirty);
   void compute_node_lanes(const LaneScan& scan, bool wavefront,

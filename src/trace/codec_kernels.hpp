@@ -1,14 +1,16 @@
-// Vectorized pre-pass kernels of the columnar codec (compression.cpp).
+// Pre-pass kernels of the columnar codec (compression.cpp).
 //
 // The encoder's hot loops are pure integer streams: first-order
 // differences of sorted time columns, the zigzag sign fold, dictionary
-// index resolution, fence min/max scans.  All of them are elementwise or
-// order-free, so batching them through the fixed-width wrappers of
-// common/simd.hpp is *exact* — integer arithmetic has no rounding, and
-// the one reduction here (min/max) is associative and commutative.  The
-// encoded byte streams are therefore bit-identical to the scalar
-// reference twins in codec::ref below, which the randomized equivalence
-// tests (tests/test_simd.cpp) pin at odd sizes and misaligned tails.
+// index resolution, fence min/max scans.  Only dictionary index
+// resolution goes through the fixed-width wrappers of common/simd.hpp: it
+// ran 1.6-2.8x faster than its scalar twin (codec::ref below) in
+// bench_simd on an AVX2 host (gcc 12, Release).  The other loops stay
+// scalar because 4 x int64 vector versions of them ran at only 0.36-1.05x
+// of these loops on the same host.  Integer arithmetic has no
+// rounding, so the vector kernel is bit-identical to its twin;
+// tests/test_simd.cpp pins that at odd sizes and misaligned tails, and
+// tests/test_compression.cpp pins the encoded bytes.
 //
 // What is deliberately NOT here: the FNV-1a block checksum
 // (binary_io.cpp).  Its byte-serial multiply-xor chain is the on-disk
@@ -17,7 +19,7 @@
 // It stays scalar by design.
 //
 // Raw intrinsics are confined to common/simd.hpp (stagg_lint enforces
-// this); everything below is written against the portable wrappers and
+// this); dict_indices is written against the portable wrappers and
 // compiles — and runs the tests — in scalar-forced builds too.
 #pragma once
 
@@ -29,13 +31,7 @@
 
 namespace stagg::codec {
 
-// --- Scalar reference twins ------------------------------------------------
-// Structurally independent implementations (plain loops, lower_bound for
-// dictionary indices); the equivalence tests compare the kernels below
-// against these.
-
-namespace ref {
-
+/// out[i] = a[i] - b[i] in wrap-around uint64 (duration and gap streams).
 inline void sub_columns(const std::int64_t* a, const std::int64_t* b,
                         std::size_t n, std::uint64_t* out) noexcept {
   for (std::size_t i = 0; i < n; ++i) {
@@ -43,6 +39,8 @@ inline void sub_columns(const std::int64_t* a, const std::int64_t* b,
   }
 }
 
+/// First-order difference of a (possibly unsorted) int64 column:
+/// out[0] = v[0]; out[i] = v[i] - v[i-1].
 inline void delta_column(const std::int64_t* v, std::size_t n,
                          std::uint64_t* out) noexcept {
   if (n == 0) return;
@@ -53,6 +51,8 @@ inline void delta_column(const std::int64_t* v, std::size_t n,
   }
 }
 
+/// delta_column over an already-materialized uint64 stream (the
+/// second-order pass of delta-of-delta).
 inline void delta_u64(const std::uint64_t* v, std::size_t n,
                       std::uint64_t* out) noexcept {
   if (n == 0) return;
@@ -60,6 +60,7 @@ inline void delta_u64(const std::uint64_t* v, std::size_t n,
   for (std::size_t i = 1; i < n; ++i) out[i] = v[i] - v[i - 1];
 }
 
+/// In-place zigzag sign fold: v <- (v << 1) ^ (v >>arith 63).
 inline void zigzag_u64(std::uint64_t* v, std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) {
     v[i] = (v[i] << 1) ^
@@ -67,6 +68,7 @@ inline void zigzag_u64(std::uint64_t* v, std::size_t n) noexcept {
   }
 }
 
+/// True when every element equals the first (kConst candidate screen).
 inline bool all_equal_u64(const std::uint64_t* v, std::size_t n) noexcept {
   for (std::size_t i = 1; i < n; ++i) {
     if (v[i] != v[0]) return false;
@@ -74,6 +76,7 @@ inline bool all_equal_u64(const std::uint64_t* v, std::size_t n) noexcept {
   return true;
 }
 
+/// Signed min and max of an int64 column (chunk fences).
 inline void minmax_i64(const std::int64_t* v, std::size_t n,
                        std::int64_t& lo, std::int64_t& hi) noexcept {
   if (n == 0) return;
@@ -83,6 +86,12 @@ inline void minmax_i64(const std::int64_t* v, std::size_t n,
     hi = std::max(hi, v[i]);
   }
 }
+
+// --- Scalar reference twin of the vector kernel ----------------------------
+// Structurally independent (lower_bound per value); the equivalence tests
+// compare dict_indices below against it.
+
+namespace ref {
 
 inline void dict_indices(const std::int32_t* vals, std::size_t n,
                          const std::int32_t* dict, std::size_t dict_size,
@@ -95,108 +104,7 @@ inline void dict_indices(const std::int32_t* vals, std::size_t n,
 
 }  // namespace ref
 
-// --- Vectorized kernels ----------------------------------------------------
-
-/// out[i] = a[i] - b[i] in wrap-around uint64 (duration and gap streams).
-inline void sub_columns(const std::int64_t* a, const std::int64_t* b,
-                        std::size_t n, std::uint64_t* out) noexcept {
-  const auto* au = reinterpret_cast<const std::uint64_t*>(a);
-  const auto* bu = reinterpret_cast<const std::uint64_t*>(b);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    (simd::i64x4::load(au + i) - simd::i64x4::load(bu + i)).store(out + i);
-  }
-  for (; i < n; ++i) out[i] = au[i] - bu[i];
-}
-
-/// First-order difference of a (possibly unsorted) int64 column:
-/// out[0] = v[0]; out[i] = v[i] - v[i-1].  Each output reads inputs only,
-/// so the stream vectorizes despite looking recursive.
-inline void delta_column(const std::int64_t* v, std::size_t n,
-                         std::uint64_t* out) noexcept {
-  if (n == 0) return;
-  const auto* vu = reinterpret_cast<const std::uint64_t*>(v);
-  out[0] = vu[0];
-  std::size_t i = 1;
-  for (; i + 4 <= n; i += 4) {
-    (simd::i64x4::load(vu + i) - simd::i64x4::load(vu + i - 1)).store(out + i);
-  }
-  for (; i < n; ++i) out[i] = vu[i] - vu[i - 1];
-}
-
-/// delta_column over an already-materialized uint64 stream (the
-/// second-order pass of delta-of-delta).
-inline void delta_u64(const std::uint64_t* v, std::size_t n,
-                      std::uint64_t* out) noexcept {
-  if (n == 0) return;
-  out[0] = v[0];
-  std::size_t i = 1;
-  for (; i + 4 <= n; i += 4) {
-    (simd::i64x4::load(v + i) - simd::i64x4::load(v + i - 1)).store(out + i);
-  }
-  for (; i < n; ++i) out[i] = v[i] - v[i - 1];
-}
-
-/// In-place zigzag sign fold: v <- (v << 1) ^ (v >>arith 63).
-inline void zigzag_u64(std::uint64_t* v, std::size_t n) noexcept {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const simd::i64x4 x = simd::i64x4::load(v + i);
-    (x.shl<1>() ^ x.sign_mask()).store(v + i);
-  }
-  for (; i < n; ++i) {
-    v[i] = (v[i] << 1) ^
-           static_cast<std::uint64_t>(static_cast<std::int64_t>(v[i]) >> 63);
-  }
-}
-
-/// True when every element equals the first (kConst candidate screen).
-inline bool all_equal_u64(const std::uint64_t* v, std::size_t n) noexcept {
-  if (n <= 1) return true;
-  const simd::i64x4 first = simd::i64x4::broadcast(v[0]);
-  std::size_t i = 1;
-  for (; i + 4 <= n; i += 4) {
-    if (simd::i64x4::load(v + i).eq_mask(first) != 0xF) return false;
-  }
-  for (; i < n; ++i) {
-    if (v[i] != v[0]) return false;
-  }
-  return true;
-}
-
-/// Signed min and max of an int64 column (chunk fences).  Min/max is
-/// associative and commutative, so the 4-lane fold is exact.
-inline void minmax_i64(const std::int64_t* v, std::size_t n,
-                       std::int64_t& lo, std::int64_t& hi) noexcept {
-  if (n == 0) return;
-  const auto* vu = reinterpret_cast<const std::uint64_t*>(v);
-  std::size_t i = 0;
-  std::int64_t slo = v[0];
-  std::int64_t shi = v[0];
-  if (n >= 4) {
-    simd::i64x4 vlo = simd::i64x4::load(vu);
-    simd::i64x4 vhi = vlo;
-    for (i = 4; i + 4 <= n; i += 4) {
-      const simd::i64x4 x = simd::i64x4::load(vu + i);
-      vlo = vlo.min_s(x);
-      vhi = vhi.max_s(x);
-    }
-    std::uint64_t lanes_lo[4];
-    std::uint64_t lanes_hi[4];
-    vlo.store(lanes_lo);
-    vhi.store(lanes_hi);
-    for (int k = 0; k < 4; ++k) {
-      slo = std::min(slo, static_cast<std::int64_t>(lanes_lo[k]));
-      shi = std::max(shi, static_cast<std::int64_t>(lanes_hi[k]));
-    }
-  }
-  for (; i < n; ++i) {
-    slo = std::min(slo, v[i]);
-    shi = std::max(shi, v[i]);
-  }
-  lo = slo;
-  hi = shi;
-}
+// --- Vectorized kernel -----------------------------------------------------
 
 /// Largest dictionary the counting-compare index kernel handles; beyond
 /// it a per-value binary search is cheaper than m compares per value.

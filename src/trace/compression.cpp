@@ -35,7 +35,7 @@ void append_raw(std::vector<std::uint8_t>& out, const void* data,
 }
 
 // --- Time-column planning over materialized difference streams -------------
-// The SIMD pre-pass (trace/codec_kernels.hpp) computes every candidate
+// The pre-pass (trace/codec_kernels.hpp) computes every candidate
 // stream once, already zigzag-folded; all delta arithmetic stays in
 // wrap-around uint64, so columns touching the int64 range limits still
 // round-trip (C++20 two's-complement conversions).  Measuring a codec is
@@ -125,8 +125,8 @@ EncodedColumns encode_columns(std::span<const TimeNs> begins,
     throw InvalidArgument("encode_columns: empty or mismatched columns");
   }
 
-  // --- Pre-pass: every candidate stream, zigzag-folded, in one SIMD walk
-  // per column (see codec_kernels.hpp for why this is exact).
+  // --- Pre-pass: every candidate stream, zigzag-folded, in one walk per
+  // column (see codec_kernels.hpp).
   simd::AlignedVec<std::uint64_t> beg_delta(n);
   simd::AlignedVec<std::uint64_t> beg_dod(n);
   simd::AlignedVec<std::uint64_t> beg_gap(n);

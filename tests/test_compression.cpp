@@ -8,6 +8,9 @@
 //     for every adversarial shape the issue names (constant columns,
 //     max-delta jumps at the int64 range limits, hundreds of states,
 //     single-interval chunks).
+//   * Golden bytes — encode_columns output (codec tags, section sizes, an
+//     FNV-1a hash of the bytes) is pinned for seeded columns, so a
+//     changed codec choice or stream shows even when it still decodes.
 //   * Never larger — the raw fallback bounds encoded_bytes() by the raw
 //     column bytes, whatever the input.
 //   * Loud rejection — malformed encoded streams (truncation, trailing
@@ -226,6 +229,179 @@ TEST(Compression, GaplessTracePicksGapCodecAndCompressesHard) {
   EXPECT_GE(intervals.size() * kRawBytesPerInterval,
             5 * enc.encoded_bytes())
       << "gapless traces must compress at least 5x";
+}
+
+// ---------------------------------------------------------------------------
+// Golden encoding.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a 64 over a byte stream.
+std::uint64_t fnv1a64(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+enum class GoldenShape { kRandom, kWideDict, kConstant, kGapless, kLimits };
+
+const char* golden_shape_name(GoldenShape shape) {
+  switch (shape) {
+    case GoldenShape::kRandom: return "random";
+    case GoldenShape::kWideDict: return "wide-dict";
+    case GoldenShape::kConstant: return "constant";
+    case GoldenShape::kGapless: return "gapless";
+    case GoldenShape::kLimits: return "limits";
+  }
+  return "?";
+}
+
+/// Seeded sorted columns of one golden shape.  Only SplitMix64 and the
+/// total interval key order are used, so the input is the same on every
+/// platform and standard library.
+std::vector<StateInterval> golden_intervals(GoldenShape shape, std::size_t n) {
+  constexpr TimeNs kMin = std::numeric_limits<TimeNs>::min();
+  constexpr TimeNs kMax = std::numeric_limits<TimeNs>::max();
+  const std::uint64_t seed = 0x601DE7ull * 31 + n;
+  switch (shape) {
+    case GoldenShape::kRandom:
+      return make_sorted_intervals(seed, n, 5, 1000000);
+    case GoldenShape::kWideDict:
+      // More states than the counting-compare dictionary limit.
+      return make_sorted_intervals(seed, n, 200, 1000000);
+    case GoldenShape::kConstant:
+      return std::vector<StateInterval>(n, StateInterval{4096, 4352, 9});
+    case GoldenShape::kGapless: {
+      SplitMix64 mix(seed);
+      std::vector<StateInterval> out;
+      TimeNs t = 7000000;
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto d = static_cast<TimeNs>(1 + mix.next() % 900);
+        out.push_back({t, t + d, static_cast<StateId>(i % 3)});
+        t += d;
+      }
+      return out;
+    }
+    case GoldenShape::kLimits: {
+      SplitMix64 mix(seed);
+      constexpr StateId kTop = std::numeric_limits<StateId>::max();
+      constexpr StateId kStates[] = {0, 1, kTop - 1, kTop};
+      std::vector<StateInterval> out;
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto b = static_cast<TimeNs>(mix.next());
+        const std::uint64_t span =
+            static_cast<std::uint64_t>(kMax) - static_cast<std::uint64_t>(b);
+        const std::uint64_t off = span == ~std::uint64_t{0}
+                                      ? mix.next()
+                                      : mix.next() % (span + 1);
+        out.push_back({b,
+                       static_cast<TimeNs>(static_cast<std::uint64_t>(b) + off),
+                       kStates[mix.next() % 4]});
+      }
+      out.front() = {kMin, kMin, kStates[0]};
+      if (n > 1) out.back() = {kMax, kMax, kStates[3]};
+      std::sort(out.begin(), out.end(), interval_key_less);
+      return out;
+    }
+  }
+  return {};
+}
+
+struct GoldenEncoding {
+  GoldenShape shape;
+  std::size_t n;
+  TimeCodec begin_codec;
+  TimeCodec end_codec;
+  StateCodec state_codec;
+  std::uint64_t begin_bytes;
+  std::uint64_t end_bytes;
+  std::uint64_t state_bytes;
+  std::uint64_t fnv;
+};
+
+TEST(Compression, EncodeColumnsMatchesGoldenBytes) {
+  // Round trips cannot see a changed codec choice or a re-ordered stream
+  // that still decodes; these pin encode_columns output byte for byte.
+  using enum GoldenShape;
+  using TC = TimeCodec;
+  using SC = StateCodec;
+  const GoldenEncoding golden[] = {
+      {kRandom, 1, TC::kConst, TC::kConst, SC::kDictBitpack,
+       3, 3, 2, 0x93eecbd3f81028d6ull},
+      {kRandom, 3, TC::kDelta, TC::kDelta, SC::kDictBitpack,
+       9, 9, 4, 0x1affd2569de5eb8cull},
+      {kRandom, 4, TC::kDelta, TC::kDeltaOfDelta, SC::kDictBitpack,
+       12, 10, 5, 0x6420dae10ce58405ull},
+      {kRandom, 5, TC::kDelta, TC::kDelta, SC::kDictBitpack,
+       15, 15, 6, 0x270df31bb8f36b1eull},
+      {kRandom, 127, TC::kDeltaOfDelta, TC::kDelta, SC::kDictBitpack,
+       295, 342, 54, 0xe8aa24173482aa77ull},
+      {kRandom, 1000, TC::kDelta, TC::kDelta, SC::kDictBitpack,
+       1931, 2682, 381, 0x5cb132adc1642ee5ull},
+      {kWideDict, 1, TC::kConst, TC::kConst, SC::kDictBitpack,
+       3, 3, 3, 0x6da0252e825a7156ull},
+      {kWideDict, 3, TC::kDelta, TC::kDelta, SC::kDictBitpack,
+       9, 9, 7, 0xff086cfdefbd7a15ull},
+      {kWideDict, 4, TC::kDelta, TC::kDeltaOfDelta, SC::kDictBitpack,
+       12, 10, 8, 0x1a693fea4945754dull},
+      {kWideDict, 5, TC::kDelta, TC::kDelta, SC::kDictBitpack,
+       15, 15, 11, 0x73fcab121ee6dc83ull},
+      {kWideDict, 127, TC::kDeltaOfDelta, TC::kDelta, SC::kDictBitpack,
+       295, 342, 283, 0x39c4571ffcce98e7ull},
+      {kWideDict, 1000, TC::kDelta, TC::kDelta, SC::kDictBitpack,
+       1931, 2682, 1336, 0x31ff4c390e11f8b0ull},
+      {kConstant, 1, TC::kConst, TC::kConst, SC::kDictBitpack,
+       2, 2, 2, 0xd75ee7a6a024b6deull},
+      {kConstant, 3, TC::kConst, TC::kConst, SC::kDictBitpack,
+       2, 2, 2, 0xd75ee7a6a024b6deull},
+      {kConstant, 4, TC::kConst, TC::kConst, SC::kDictBitpack,
+       2, 2, 2, 0xd75ee7a6a024b6deull},
+      {kConstant, 5, TC::kConst, TC::kConst, SC::kDictBitpack,
+       2, 2, 2, 0xd75ee7a6a024b6deull},
+      {kConstant, 127, TC::kConst, TC::kConst, SC::kDictBitpack,
+       2, 2, 2, 0xd75ee7a6a024b6deull},
+      {kConstant, 1000, TC::kConst, TC::kConst, SC::kDictBitpack,
+       2, 2, 2, 0xd75ee7a6a024b6deull},
+      {kGapless, 1, TC::kConst, TC::kConst, SC::kDictBitpack,
+       4, 2, 2, 0x2fd46dde81d7b043ull},
+      {kGapless, 3, TC::kGapFromPrevEnd, TC::kDelta, SC::kDictBitpack,
+       6, 5, 5, 0x290eff7cc01fc68eull},
+      {kGapless, 4, TC::kGapFromPrevEnd, TC::kDelta, SC::kDictBitpack,
+       7, 8, 5, 0xd096d3b94de44dfcull},
+      {kGapless, 5, TC::kGapFromPrevEnd, TC::kDelta, SC::kDictBitpack,
+       8, 10, 6, 0xc41af1f0f074682dull},
+      {kGapless, 127, TC::kGapFromPrevEnd, TC::kDelta, SC::kDictBitpack,
+       130, 241, 36, 0xd4e4d716e2c9ab30ull},
+      {kGapless, 1000, TC::kGapFromPrevEnd, TC::kDelta, SC::kDictBitpack,
+       1003, 1862, 254, 0x61b69ac807c28d85ull},
+      {kLimits, 1, TC::kRaw, TC::kConst, SC::kDictBitpack,
+       8, 1, 2, 0xcb2c62b0e8b7e0eeull},
+      {kLimits, 3, TC::kRaw, TC::kDelta, SC::kRaw,
+       24, 19, 12, 0xf47c55c1199cbe97ull},
+      {kLimits, 4, TC::kRaw, TC::kDelta, SC::kDictBitpack,
+       32, 29, 13, 0x6b7117d164969c21ull},
+      {kLimits, 5, TC::kRaw, TC::kDeltaOfDelta, SC::kDictBitpack,
+       40, 38, 10, 0xb53f379364153f5dull},
+      {kLimits, 127, TC::kRaw, TC::kRaw, SC::kDictBitpack,
+       1016, 1016, 45, 0x2ebda9ead651e30cull},
+      {kLimits, 1000, TC::kRaw, TC::kRaw, SC::kDictBitpack,
+       8000, 8000, 263, 0x412f7ae25110abbaull},
+  };
+  for (const GoldenEncoding& g : golden) {
+    const std::string context = std::string(golden_shape_name(g.shape)) +
+                                " n " + std::to_string(g.n);
+    const EncodedColumns enc =
+        round_trip(golden_intervals(g.shape, g.n), context);
+    EXPECT_EQ(enc.begin_codec, g.begin_codec) << context;
+    EXPECT_EQ(enc.end_codec, g.end_codec) << context;
+    EXPECT_EQ(enc.state_codec, g.state_codec) << context;
+    EXPECT_EQ(enc.begin_bytes, g.begin_bytes) << context;
+    EXPECT_EQ(enc.end_bytes, g.end_bytes) << context;
+    EXPECT_EQ(enc.state_bytes, g.state_bytes) << context;
+    EXPECT_EQ(fnv1a64(enc.bytes), g.fnv) << context;
+  }
 }
 
 TEST(Compression, EncodeRejectsEmptyOrMismatchedColumns) {

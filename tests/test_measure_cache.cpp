@@ -205,23 +205,17 @@ TEST(KernelEquivalence, LaneWidthSweepBitIdenticalToReference) {
   SpatiotemporalAggregator reference(om.model, ref_opt);
 
   // 9 probes with duplicates: an 8-lane wave plus a width-1 remainder, a
-  // 4-lane config with a width-1 remainder, and the solo pre-lane sweep.
+  // 4-lane config with a width-1 remainder, and one probe per sweep.
   const std::vector<double> ps = {0.0, 0.3, 0.3, 0.55, 0.55,
                                   0.7, 0.85, 1.0, 0.3};
   std::vector<AggregationResult> oracle;
   oracle.reserve(ps.size());
   for (const double p : ps) oracle.push_back(reference.run(p));
 
-  // Width 0 stands for the PR 1 solo kernel (DpKernel::kCachedSolo), which
-  // must stay bit-identical too — it is the lane-batching bench baseline.
-  for (const std::size_t width : {std::size_t{0}, std::size_t{1},
-                                  std::size_t{4}, std::size_t{8}}) {
+  for (const std::size_t width : {std::size_t{1}, std::size_t{4},
+                                  std::size_t{8}}) {
     AggregationOptions opt;
-    if (width == 0) {
-      opt.kernel = DpKernel::kCachedSolo;
-    } else {
-      opt.max_lanes = width;
-    }
+    opt.max_lanes = width;
     SpatiotemporalAggregator laned(om.model, opt);
     const std::vector<AggregationResult> fast = laned.run_many(ps);
     ASSERT_EQ(fast.size(), ps.size()) << "W=" << width;

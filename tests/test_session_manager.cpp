@@ -1,7 +1,8 @@
 // SessionManager suite: N concurrent sliding-window sessions over ONE
 // shared immutable TraceStore must be *bit-identical* — at every advance,
 // at every lane width — to N sessions each owning a private copy of the
-// trace, and to the kReference / kCachedSolo from-scratch oracles.
+// trace, and to from-scratch runs on fresh kReference and production
+// aggregators.
 //
 // The sessions deliberately differ in window placement, slice count,
 // probe set and hierarchy scope, and the store is mutated under them
@@ -167,9 +168,8 @@ void run_lockstep_oracle(std::size_t lanes) {
       expect_results_equal(manager.session(i).results(),
                            private_sessions[i]->results(), ctx);
       expect_results_equal(manager.session(i).results(),
-                           manager.session(i).run_from_scratch(
-                               DpKernel::kCachedSolo),
-                           ctx + " vs kCachedSolo");
+                           manager.session(i).run_from_scratch(),
+                           ctx + " vs from-scratch");
     }
   }
 
@@ -264,7 +264,7 @@ TEST(SessionManager, CentralEvictionKeepsEverySessionExact) {
     for (std::size_t i = 0; i < manager.session_count(); ++i) {
       expect_results_equal(
           manager.session(i).results(),
-          manager.session(i).run_from_scratch(DpKernel::kCachedSolo),
+          manager.session(i).run_from_scratch(),
           "round " + std::to_string(round) + " session " +
               std::to_string(i));
     }

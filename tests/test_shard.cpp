@@ -523,8 +523,8 @@ void run_sharded_lockstep(std::size_t shards, std::size_t lanes) {
         "final session " + std::to_string(i) + " vs kReference");
     expect_results_equal(
         manager.session(i).results(),
-        manager.session(i).run_from_scratch(DpKernel::kCachedSolo),
-        "final session " + std::to_string(i) + " vs kCachedSolo");
+        manager.session(i).run_from_scratch(),
+        "final session " + std::to_string(i) + " vs from-scratch");
   }
 }
 

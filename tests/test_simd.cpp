@@ -3,7 +3,7 @@
 // Contract under test (common/simd.hpp): the scalar family simd::sc is
 // the oracle, and every active wrapper op must be bit-identical to it on
 // arbitrary bit patterns — including NaN/inf/denormal doubles and the
-// int64/int32 range limits — at misaligned loads.  On a scalar-forced
+// int32 range limits — at misaligned loads.  On a scalar-forced
 // build the active types alias simd::sc and the wrapper suites pass by
 // construction, which is exactly the point: the same binary contract
 // holds at every dispatch level.
@@ -13,7 +13,7 @@
 //   * DataCube::measures_column_into vs measures_column_reference_into,
 //   * the DP fold with AggregationOptions::use_simd on vs off vs the
 //     kReference kernel at every lane width 1..8,
-//   * the trace/codec_kernels.hpp pre-pass vs codec::ref, plus full
+//   * codec::dict_indices vs codec::ref::dict_indices, plus full
 //     encode_columns round-trips at sizes straddling the vector width.
 #include <gtest/gtest.h>
 
@@ -122,47 +122,6 @@ TEST(SimdWrappers, F64x4MatchesScalarTwin) {
   }
 }
 
-TEST(SimdWrappers, I64x4MatchesScalarTwin) {
-  BitFuzzer fz(0x164);
-  for (int trial = 0; trial < kTrials; ++trial) {
-    std::uint64_t buf[11];
-    for (std::uint64_t& u : buf) u = fz.u64();
-    const std::size_t off = trial % 4;
-    const simd::i64x4 a = simd::i64x4::load(buf + off);
-    const simd::i64x4 b = simd::i64x4::load(buf + off + 4);
-    const simd::sc::i64x4 sa = simd::sc::i64x4::load(buf + off);
-    const simd::sc::i64x4 sb = simd::sc::i64x4::load(buf + off + 4);
-
-    std::uint64_t got[4];
-    std::uint64_t want[4];
-    (a + b).store(got);
-    (sa + sb).store(want);
-    EXPECT_TRUE(bytes_equal(got, want)) << "+ trial " << trial;
-    (a - b).store(got);
-    (sa - sb).store(want);
-    EXPECT_TRUE(bytes_equal(got, want)) << "- trial " << trial;
-    (a ^ b).store(got);
-    (sa ^ sb).store(want);
-    EXPECT_TRUE(bytes_equal(got, want)) << "^ trial " << trial;
-    a.shl<1>().store(got);
-    sa.shl<1>().store(want);
-    EXPECT_TRUE(bytes_equal(got, want)) << "shl trial " << trial;
-    a.shr<7>().store(got);
-    sa.shr<7>().store(want);
-    EXPECT_TRUE(bytes_equal(got, want)) << "shr trial " << trial;
-    a.sign_mask().store(got);
-    sa.sign_mask().store(want);
-    EXPECT_TRUE(bytes_equal(got, want)) << "sign trial " << trial;
-    a.min_s(b).store(got);
-    sa.min_s(sb).store(want);
-    EXPECT_TRUE(bytes_equal(got, want)) << "min trial " << trial;
-    a.max_s(b).store(got);
-    sa.max_s(sb).store(want);
-    EXPECT_TRUE(bytes_equal(got, want)) << "max trial " << trial;
-    EXPECT_EQ(a.eq_mask(b), sa.eq_mask(sb)) << "eq trial " << trial;
-  }
-}
-
 TEST(SimdWrappers, I32x4AndI32x8MatchScalarTwins) {
   BitFuzzer fz(0x132);
   for (int trial = 0; trial < kTrials; ++trial) {
@@ -194,23 +153,6 @@ TEST(SimdWrappers, I32x4AndI32x8MatchScalarTwins) {
     sa.gt_mask(sb).store(want8);
     EXPECT_TRUE(bytes_equal(got8, want8)) << "i32x8 gt trial " << trial;
     EXPECT_EQ(a.eq_mask(b), sa.eq_mask(sb)) << "i32x8 eq trial " << trial;
-  }
-}
-
-TEST(SimdWrappers, U8x32MatchesScalarTwin) {
-  BitFuzzer fz(0x832);
-  for (int trial = 0; trial < kTrials; ++trial) {
-    std::uint8_t buf[67];
-    for (std::uint8_t& v : buf) {
-      // Narrow domain so equal byte pairs are common.
-      v = static_cast<std::uint8_t>(fz.u64() & 3u);
-    }
-    const std::size_t off = trial % 3;
-    const simd::u8x32 a = simd::u8x32::load(buf + off);
-    const simd::u8x32 b = simd::u8x32::load(buf + off + 32);
-    const simd::sc::u8x32 sa = simd::sc::u8x32::load(buf + off);
-    const simd::sc::u8x32 sb = simd::sc::u8x32::load(buf + off + 32);
-    EXPECT_EQ(a.eq_mask(b), sa.eq_mask(sb)) << "trial " << trial;
   }
 }
 
@@ -294,53 +236,6 @@ TEST(SimdKernels, DpFoldSimdOnOffAndReferenceAgreeAtEveryLaneWidth) {
 
 // --- Codec kernels ---------------------------------------------------------
 
-TEST(SimdKernels, CodecKernelsMatchReferenceTwinsAtOddSizes) {
-  BitFuzzer fz(0xC0DE);
-  for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 31u, 64u,
-                              65u, 127u}) {
-    std::vector<std::int64_t> a(n);
-    std::vector<std::int64_t> b(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      a[i] = static_cast<std::int64_t>(fz.u64());
-      b[i] = static_cast<std::int64_t>(fz.u64());
-    }
-    std::vector<std::uint64_t> got(n);
-    std::vector<std::uint64_t> want(n);
-
-    codec::sub_columns(a.data(), b.data(), n, got.data());
-    codec::ref::sub_columns(a.data(), b.data(), n, want.data());
-    EXPECT_EQ(got, want) << "sub n=" << n;
-
-    codec::delta_column(a.data(), n, got.data());
-    codec::ref::delta_column(a.data(), n, want.data());
-    EXPECT_EQ(got, want) << "delta n=" << n;
-
-    // Second-order pass: delta over the delta stream, then zigzag.
-    std::vector<std::uint64_t> src = want;
-    codec::delta_u64(src.data(), n, got.data());
-    codec::ref::delta_u64(src.data(), n, want.data());
-    EXPECT_EQ(got, want) << "delta_u64 n=" << n;
-
-    codec::zigzag_u64(got.data(), n);
-    codec::ref::zigzag_u64(want.data(), n);
-    EXPECT_EQ(got, want) << "zigzag n=" << n;
-
-    EXPECT_EQ(codec::all_equal_u64(want.data(), n),
-              codec::ref::all_equal_u64(want.data(), n));
-    std::vector<std::uint64_t> same(n, 0xABCDu);
-    EXPECT_TRUE(codec::all_equal_u64(same.data(), n));
-
-    std::int64_t lo_got = 0;
-    std::int64_t hi_got = 0;
-    std::int64_t lo_want = 0;
-    std::int64_t hi_want = 0;
-    codec::minmax_i64(a.data(), n, lo_got, hi_got);
-    codec::ref::minmax_i64(a.data(), n, lo_want, hi_want);
-    EXPECT_EQ(lo_got, lo_want) << "min n=" << n;
-    EXPECT_EQ(hi_got, hi_want) << "max n=" << n;
-  }
-}
-
 TEST(SimdKernels, DictIndicesMatchLowerBoundAcrossDictSizes) {
   BitFuzzer fz(0xD1C7);
   // Both sides of the counting-compare cutoff, including exactly at it.
@@ -367,8 +262,8 @@ TEST(SimdKernels, DictIndicesMatchLowerBoundAcrossDictSizes) {
 }
 
 TEST(SimdKernels, EncodeColumnsRoundTripsAtVectorBoundarySizes) {
-  // Sizes straddling every vector width the pre-pass uses (4-wide u64,
-  // 8-wide i32) — tails, exact blocks, and n = 1.
+  // Sizes straddling the 8-wide dictionary-index kernel — tails, exact
+  // blocks, and n = 1.
   Rng rng(99);
   for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u,
                               17u, 33u, 100u}) {

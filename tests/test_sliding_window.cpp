@@ -4,8 +4,9 @@
 // The contract is *exactness*: after any sequence of append / slide /
 // extend / contract / refresh operations, the session's results are
 // bit-identical (EXPECT_EQ on doubles, identical partitions) to a
-// from-scratch run_many over the same window — verified against the
-// kReference and kCachedSolo oracles and across lane widths 1/4/8.  The
+// from-scratch run_many over the same window — verified against a fresh
+// production aggregator at every step, against the kReference oracle at a
+// fixed cadence, and across lane widths 1/4/8.  The
 // boundary tests pin the half-open edge convention: an event's mass lands
 // in exactly one slice partition, never twice, never zero-plus-twice.
 #include "core/sliding_window.hpp"
@@ -291,8 +292,8 @@ PropertyRunStats drive_random_ops(SlidingWindowSession& session,
     ++stats.ops;
     const std::string context = tag + " op=" + std::to_string(op);
     expect_results_equal(session.results(),
-                         session.run_from_scratch(DpKernel::kCachedSolo),
-                         context + "/solo");
+                         session.run_from_scratch(),
+                         context + "/scratch");
     if (op % 7 == 3) {
       ++stats.reference_checks;
       expect_results_equal(session.results(),
@@ -428,7 +429,7 @@ TEST(SlidingWindow, ShrinkGrowShrinkCyclesStayExact) {
     }
     session.slide(2);
     expect_results_equal(session.results(),
-                         session.run_from_scratch(DpKernel::kCachedSolo),
+                         session.run_from_scratch(),
                          "cycle delta=" + std::to_string(delta));
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
   }

@@ -119,8 +119,8 @@ TEST(SlidingWindowHeavy, BenchScaleRandomOpsStayBitIdentical) {
     }
     const std::string ctx = "op=" + std::to_string(op);
     expect_results_equal(session.results(),
-                         session.run_from_scratch(DpKernel::kCachedSolo),
-                         ctx + "/solo");
+                         session.run_from_scratch(),
+                         ctx + "/scratch");
     if (op % 16 == 7) {
       expect_results_equal(session.results(),
                            session.run_from_scratch(DpKernel::kReference),
