@@ -1,6 +1,7 @@
 #include "model/builder.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
@@ -45,25 +46,74 @@ std::vector<LeafId> map_resources(const std::vector<std::string>& paths,
 
 namespace {
 
-/// Folds one interval into the tensor: distributes [begin,end) over the
-/// slices it overlaps, restricted to slices >= min_slice (0 = all).  The
-/// half-open convention keeps edge events unambiguous: an interval ending
-/// exactly on a slice edge contributes nothing past the edge, one starting
-/// exactly on it contributes nothing before, and a zero-duration interval
-/// contributes nowhere.
-inline void fold_interval(MicroscopicModel& model, const TimeGrid& grid,
-                          LeafId leaf, const StateInterval& s,
-                          SliceId min_slice = 0) {
-  const TimeNs lo = std::max(s.begin, grid.begin());
-  const TimeNs hi = std::min(s.end, grid.end());
-  if (hi <= lo) return;
-  const SliceId first = std::max(grid.slice_of(lo), min_slice);
-  const SliceId last = grid.slice_of(hi - 1);
-  for (SliceId t = first; t <= last; ++t) {
-    const double overlap = grid.overlap_s(lo, hi, t);
-    if (overlap > 0.0) model.add_duration(leaf, t, s.state, overlap);
+/// One grid's slice-edge table, built once per fold call: edge_[t] =
+/// slice_begin(t) for t < |T| and edge_[|T|] = slice_end(|T| - 1) = end(),
+/// the same integers TimeGrid computes with a divide each time.  fold()
+/// distributes an interval over the slices it overlaps with no divide:
+/// each resource carries a slice hint, and an interval that lies inside
+/// the hinted slice (nearly all of them in a sorted stream) adds its
+/// clipped length once.  Any other interval looks its first and last
+/// slice up in the table and adds its overlap with each slice between
+/// them.  Every cell receives the same doubles in the same order as a
+/// fold through TimeGrid::slice_of, so the tensor is bit-identical.
+class SliceFolder {
+ public:
+  explicit SliceFolder(const TimeGrid& grid)
+      : begin_(grid.begin()),
+        end_(grid.end()),
+        last_(grid.slice_count() - 1),
+        scale_(static_cast<double>(grid.slice_count()) /
+               static_cast<double>(grid.end() - grid.begin())),
+        edge_(static_cast<std::size_t>(grid.slice_count()) + 1) {
+    for (SliceId t = 0; t <= last_; ++t) edge_[t] = grid.slice_begin(t);
+    edge_.back() = grid.slice_end(last_);
   }
-}
+
+  /// Folds [s.begin, s.end) of `leaf` into the slices >= min_slice it
+  /// overlaps.  The half-open convention keeps edge events unambiguous: an
+  /// interval ending exactly on a slice edge contributes nothing past the
+  /// edge, one starting exactly on it contributes nothing before, and a
+  /// zero-duration interval contributes nowhere.  `hint` (in [min_slice,
+  /// |T|)) is the resource's last slice; it is updated here.
+  void fold(MicroscopicModel& model, LeafId leaf, const StateInterval& s,
+            SliceId& hint, SliceId min_slice = 0) const noexcept {
+    const TimeNs lo = std::max(s.begin, begin_);
+    const TimeNs hi = std::min(s.end, end_);
+    if (hi <= lo) return;
+    if (edge_[hint] <= lo && hi <= edge_[hint + 1]) {
+      model.add_duration(leaf, hint, s.state, to_seconds(hi - lo));
+      return;
+    }
+    const SliceId first = std::max(slice_of(lo), min_slice);
+    const SliceId last = slice_of(hi - 1);
+    for (SliceId t = first; t <= last; ++t) {
+      const TimeNs a = std::max(lo, edge_[t]);
+      const TimeNs b = std::min(hi, edge_[t + 1]);
+      if (b > a) model.add_duration(leaf, t, s.state, to_seconds(b - a));
+    }
+    hint = std::max(last, min_slice);
+  }
+
+ private:
+  /// TimeGrid::slice_of for `time` in [begin, end): the largest t with
+  /// edge_[t] <= time.  The double estimate lands within a slice or two;
+  /// the nudges settle it on the table, including on zero-width slices
+  /// (span < |T|) and non-uniform ones (span % |T| != 0).
+  [[nodiscard]] SliceId slice_of(TimeNs time) const noexcept {
+    auto t = static_cast<SliceId>(
+        std::min(static_cast<double>(time - begin_) * scale_,
+                 static_cast<double>(last_)));
+    while (t < last_ && edge_[t + 1] <= time) ++t;
+    while (t > 0 && time < edge_[t]) --t;
+    return t;
+  }
+
+  TimeNs begin_;
+  TimeNs end_;
+  SliceId last_;
+  double scale_;
+  std::vector<TimeNs> edge_;
+};
 
 TimeGrid make_grid(TimeNs trace_begin, TimeNs trace_end,
                    const ModelBuildOptions& options) {
@@ -98,14 +148,16 @@ MicroscopicModel build_model(const TraceView& view, const Hierarchy& hierarchy,
                                          options.match_by_path);
   const TimeGrid grid = detail::make_grid(view.begin(), view.end(), options);
   MicroscopicModel model(&hierarchy, grid, view.states());
+  const detail::SliceFolder folder(grid);
 
   // Parallel over view resources: leaf stripes are disjoint by bijection.
   parallel_for(
       view.resource_count(),
       [&](std::size_t r) {
         const LeafId leaf = map[r];
+        SliceId hint = 0;
         view.for_each(r, [&](const StateInterval& s) {
-          detail::fold_interval(model, grid, leaf, s);
+          folder.fold(model, leaf, s, hint);
         });
       },
       /*grain=*/1);
@@ -132,16 +184,18 @@ void refold_suffix(MicroscopicModel& model, const TraceView& view,
       detail::map_resources(view.resource_paths(), hierarchy, match_by_path);
   const TimeGrid& grid = model.grid();
   model.zero_slices(first_dirty);
+  const detail::SliceFolder folder(grid);
   // Skipping intervals that end at or before the dirty region is pure
-  // pruning: fold_interval would contribute nothing there anyway.
+  // pruning: the fold would contribute nothing there anyway.
   const TimeNs dirty_begin = grid.slice_begin(first_dirty);
   parallel_for(
       view.resource_count(),
       [&](std::size_t r) {
         const LeafId leaf = map[r];
+        SliceId hint = first_dirty;
         view.for_each(r, [&](const StateInterval& s) {
           if (s.end <= dirty_begin) return;
-          detail::fold_interval(model, grid, leaf, s, first_dirty);
+          folder.fold(model, leaf, s, hint, first_dirty);
         });
       },
       /*grain=*/1);
@@ -165,12 +219,14 @@ MicroscopicModel build_model_streaming(const std::string& trace_path,
   const TimeGrid grid =
       detail::make_grid(info.window_begin, info.window_end, options);
   MicroscopicModel model(&hierarchy, grid, info.states);
+  const detail::SliceFolder folder(grid);
 
+  // Records arrive in file order, so each resource keeps its own hint.
+  std::vector<SliceId> hints(map.size(), 0);
   stream_binary_trace(trace_path, [&](std::span<const TraceRecord> chunk) {
     for (const auto& rec : chunk) {
-      detail::fold_interval(model, grid,
-                            map[static_cast<std::size_t>(rec.resource)],
-                            rec.interval);
+      const auto r = static_cast<std::size_t>(rec.resource);
+      folder.fold(model, map[r], rec.interval, hints[r]);
     }
   });
   return model;

@@ -2,7 +2,11 @@
 // description" step).
 //
 // Each state interval is clipped against the slices it overlaps and its
-// overlap durations accumulated into d_x(s,t).  The fold consumes a
+// overlap durations accumulated into d_x(s,t).  Slices are located in a
+// slice-edge table built once per grid (the same integers TimeGrid
+// computes), and each resource carries a slice hint: an interval inside
+// the hinted slice, which is nearly every interval of a sorted stream, is
+// added with no lookup at all.  The fold consumes a
 // TraceView — a zero-copy chunk-cursor selection of a shared TraceStore —
 // so any number of concurrent model builds (different windows, slice
 // counts, hierarchy scopes) read the same immutable chunks without copying

@@ -31,12 +31,6 @@ SliceId TimeGrid::slice_of(TimeNs time) const noexcept {
   return idx;
 }
 
-double TimeGrid::overlap_s(TimeNs a, TimeNs b, SliceId t) const noexcept {
-  const TimeNs lo = std::max(a, slice_begin(t));
-  const TimeNs hi = std::min(b, slice_end(t));
-  return hi > lo ? to_seconds(hi - lo) : 0.0;
-}
-
 namespace {
 
 TimeNs require_uniform_dt(const TimeGrid& g, const char* op) {

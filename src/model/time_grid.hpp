@@ -71,9 +71,6 @@ class TimeGrid {
   /// or when fewer than one slice would remain.
   [[nodiscard]] TimeGrid contracted(std::int32_t slices) const;
 
-  /// Overlap in seconds between [a, b) and slice t.
-  [[nodiscard]] double overlap_s(TimeNs a, TimeNs b, SliceId t) const noexcept;
-
   /// Total duration of the interval of slices [i, j] in seconds.
   [[nodiscard]] double interval_duration_s(SliceId i, SliceId j) const noexcept {
     return to_seconds(slice_end(j) - slice_begin(i));

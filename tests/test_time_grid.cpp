@@ -43,16 +43,6 @@ TEST(TimeGrid, SliceOfClamps) {
   EXPECT_EQ(g.slice_of(seconds(5.0)), 9);
 }
 
-TEST(TimeGrid, OverlapFullInsideOutside) {
-  const TimeGrid g(0, seconds(10.0), 10);  // 1 s slices
-  // Interval spanning slices 2..4 partially.
-  EXPECT_DOUBLE_EQ(g.overlap_s(seconds(2.5), seconds(4.5), 2), 0.5);
-  EXPECT_DOUBLE_EQ(g.overlap_s(seconds(2.5), seconds(4.5), 3), 1.0);
-  EXPECT_DOUBLE_EQ(g.overlap_s(seconds(2.5), seconds(4.5), 4), 0.5);
-  EXPECT_DOUBLE_EQ(g.overlap_s(seconds(2.5), seconds(4.5), 5), 0.0);
-  EXPECT_DOUBLE_EQ(g.overlap_s(seconds(2.5), seconds(4.5), 0), 0.0);
-}
-
 TEST(TimeGrid, IntervalDuration) {
   const TimeGrid g(0, seconds(30.0), 30);
   EXPECT_NEAR(g.interval_duration_s(0, 29), 30.0, 1e-9);
