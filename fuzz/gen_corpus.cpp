@@ -129,6 +129,26 @@ int main(int argc, char** argv) {
     }
     write_bytes(root / "stgt_decoder/seed_records.bin", bytes);
   }
+  // Windows of 3 records over runs of 3 interleaved lanes, so the range
+  // decoder's lanes and runs cross window seams; the second seed adds a
+  // record with end < begin in the third window and a partial record.
+  for (const bool malformed : {false, true}) {
+    std::vector<std::uint8_t> bytes;
+    bytes.push_back(0x02);  // resources = 3
+    bytes.push_back(0x01);  // states = 2
+    bytes.push_back(0x02);  // feed chunk = window = 3 records
+    for (std::uint32_t i = 0; i < 11; ++i) {
+      const bool bad = malformed && i == 7;
+      append_u32(bytes, (i / 2) % 3);                  // resource
+      append_u32(bytes, i % 2);                        // state
+      append_i64(bytes, 1000 - 50 * i);                // begin (unsorted)
+      append_i64(bytes, bad ? 0 : 1000 - 50 * i + 30);  // end
+    }
+    if (malformed) bytes.insert(bytes.end(), {0x01, 0x02, 0x03});
+    write_bytes(root / (malformed ? "stgt_decoder/seed_windows_bad.bin"
+                                  : "stgt_decoder/seed_windows.bin"),
+                bytes);
+  }
 
   // --- columns_decoder: harness header + real encoded sections ------------
   {

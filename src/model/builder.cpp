@@ -147,14 +147,18 @@ MicroscopicModel build_model(const TraceView& view, const Hierarchy& hierarchy,
   const auto map = detail::map_resources(view.resource_paths(), hierarchy,
                                          options.match_by_path);
   const TimeGrid grid = detail::make_grid(view.begin(), view.end(), options);
-  MicroscopicModel model(&hierarchy, grid, view.states());
+  MicroscopicModel model(&hierarchy, grid, view.states(),
+                         MicroscopicModel::Unzeroed{});
   const detail::SliceFolder folder(grid);
 
   // Parallel over view resources: leaf stripes are disjoint by bijection.
+  // The bijection also gives every leaf exactly one resource, so each
+  // leaf is zeroed here, by the task that folds into it.
   parallel_for(
       view.resource_count(),
       [&](std::size_t r) {
         const LeafId leaf = map[r];
+        model.zero_leaf(leaf);
         SliceId hint = 0;
         view.for_each(r, [&](const StateInterval& s) {
           folder.fold(model, leaf, s, hint);

@@ -11,6 +11,12 @@ namespace stagg {
 
 MicroscopicModel::MicroscopicModel(const Hierarchy* hierarchy, TimeGrid grid,
                                    StateRegistry states)
+    : MicroscopicModel(hierarchy, grid, std::move(states), Unzeroed{}) {
+  std::fill(data_.begin(), data_.end(), 0.0);
+}
+
+MicroscopicModel::MicroscopicModel(const Hierarchy* hierarchy, TimeGrid grid,
+                                   StateRegistry states, Unzeroed)
     : hier_(hierarchy),
       grid_(grid),
       states_(std::move(states)),
@@ -23,7 +29,12 @@ MicroscopicModel::MicroscopicModel(const Hierarchy* hierarchy, TimeGrid grid,
   if (n_x_ < 1) {
     throw InvalidArgument("MicroscopicModel: at least one state required");
   }
-  data_.assign(static_cast<std::size_t>(n_s_) * n_t_ * n_x_, 0.0);
+  data_.resize(static_cast<std::size_t>(n_s_) * n_t_ * n_x_);
+}
+
+void MicroscopicModel::zero_leaf(LeafId s) noexcept {
+  const std::size_t row = static_cast<std::size_t>(n_t_) * n_x_;
+  std::fill_n(data_.data() + static_cast<std::size_t>(s) * row, row, 0.0);
 }
 
 void MicroscopicModel::reshape_window(const TimeGrid& new_grid,
@@ -34,7 +45,7 @@ void MicroscopicModel::reshape_window(const TimeGrid& new_grid,
   if (src_shift == 0 && new_grid == grid_) return;  // identity (refresh)
   const std::int32_t new_t = new_grid.slice_count();
   const std::size_t col = static_cast<std::size_t>(n_x_);
-  std::vector<double> next(
+  decltype(data_) next(
       static_cast<std::size_t>(n_s_) * static_cast<std::size_t>(new_t) * col,
       0.0);
   const SliceId copy_end = std::min<SliceId>(new_t, n_t_ - src_shift);

@@ -8,7 +8,10 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "hierarchy/hierarchy.hpp"
@@ -16,6 +19,26 @@
 #include "trace/state_registry.hpp"
 
 namespace stagg {
+
+/// std::allocator whose value-less construct() default-initializes, so a
+/// sized tensor of doubles is allocated without writing (or faulting in)
+/// a single page.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <class U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  using std::allocator<T>::allocator;
+  template <class U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
 
 /// Microscopic description of a trace.  Immutable after build for batch
 /// analyses; sliding-window sessions additionally use reshape_window /
@@ -28,6 +51,16 @@ class MicroscopicModel {
   /// referenced, not owned; it must outlive the model.
   MicroscopicModel(const Hierarchy* hierarchy, TimeGrid grid,
                    StateRegistry states);
+
+  /// Tag of the constructor that leaves the tensor unwritten.
+  struct Unzeroed {};
+  /// Same dimensions, but no cell is written, so no page of the tensor is
+  /// touched: the caller must write every cell — zero_leaf() each leaf —
+  /// before anything reads it.  build_model has each fold task zero the
+  /// rows it folds, so the pages are first touched by the threads that use
+  /// them instead of by one zeroing pass on the calling thread.
+  MicroscopicModel(const Hierarchy* hierarchy, TimeGrid grid,
+                   StateRegistry states, Unzeroed);
 
   [[nodiscard]] const Hierarchy& hierarchy() const noexcept { return *hier_; }
   [[nodiscard]] const TimeGrid& grid() const noexcept { return grid_; }
@@ -78,6 +111,9 @@ class MicroscopicModel {
   /// grid must cover the same hierarchy and states.
   void reshape_window(const TimeGrid& new_grid, std::int32_t src_shift);
 
+  /// Zeroes the |T| x |X| duration cells of leaf s.
+  void zero_leaf(LeafId s) noexcept;
+
   /// Zeroes every duration cell of slices >= first_dirty — the first step
   /// of a suffix re-fold.
   void zero_slices(SliceId first_dirty) noexcept;
@@ -104,7 +140,7 @@ class MicroscopicModel {
   std::int32_t n_s_ = 0;
   std::int32_t n_t_ = 0;
   std::int32_t n_x_ = 0;
-  std::vector<double> data_;
+  std::vector<double, DefaultInitAllocator<double>> data_;
 };
 
 }  // namespace stagg

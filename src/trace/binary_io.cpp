@@ -3,28 +3,28 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <memory>
+#include <numeric>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/contract.hpp"
 #include "common/error.hpp"
 #include "common/mapped_file.hpp"
+#include "common/thread_pool.hpp"
 #include "trace/stream_decode.hpp"
 
 namespace stagg {
 namespace {
 
 constexpr char kMagic[8] = {'S', 'T', 'G', 'T', 'R', 'C', '0', '1'};
-constexpr char kChunkMagicV1[8] = {'S', 'T', 'G', 'C', 'H', 'K', '0', '1'};
 constexpr char kChunkMagic[8] = {'S', 'T', 'G', 'C', 'H', 'K', '0', '2'};
 constexpr char kSpillMagic[8] = {'S', 'T', 'G', 'S', 'P', 'L', '0', '2'};
 constexpr std::size_t kRecordBytes = 4 + 4 + 8 + 8;
 static_assert(kRecordBytes == StgtRecordDecoder::kRecordBytes,
               "STGT record framing is shared with the resumable decoder");
-/// v1 chunk record header: u32 resource | u32 reserved | u64 count |
-/// i64 min_end | i64 max_end | u64 checksum.  40 bytes, 8-aligned.
-constexpr std::size_t kChunkHeaderBytesV1 = 40;
 /// v2 chunk record header: u32 resource | u8 begin_codec | u8 end_codec |
 /// u8 state_codec | u8 flags | u64 count | i64 min_begin | i64 min_end |
 /// i64 max_end | u64 begin_bytes | u64 end_bytes | u64 state_bytes |
@@ -130,16 +130,17 @@ TraceFileInfo read_header(std::FILE* f, const std::string& path) {
   return info;
 }
 
-/// Records per fread of the whole-file readers.  Fixed (not the store's
-/// chunk_records), so a truncated record section reports the same offset
-/// through read_binary_trace and read_binary_trace_store.
+/// Records per fread of read_binary_trace.  Fixed (not the store's
+/// chunk_records): the store reader stops at the same block boundary when
+/// the record section is truncated (record_section), so both report the
+/// same offset.
 constexpr std::size_t kReadRecords = 1 << 16;
 
 /// Reads the record section of an STGT stream positioned just past its
 /// tables, `read_records` records per fread, and hands each block to
 /// `on_block(decoder, bytes)` along with the one StgtRecordDecoder that
 /// validates every record (id ranges, end >= begin, absolute error
-/// offsets), shared with every other STGT reader.
+/// offsets) — the grammar the store reader's range decoder runs too.
 template <class OnBlock>
 void read_record_blocks(std::FILE* f, const std::string& path,
                         const TraceFileInfo& info, std::size_t read_records,
@@ -168,6 +169,111 @@ void read_record_blocks(std::FILE* f, const std::string& path,
   decoder.finish();
 }
 
+/// The record section of an STGT file positioned just past its tables.
+struct RecordSection {
+  std::uint64_t base = 0;      ///< Absolute offset of the first record.
+  std::uint64_t count = 0;     ///< Declared record count.
+  std::uint64_t readable = 0;  ///< Records decoded before a truncation.
+};
+
+/// Locates the record section and checks the file size once: when the
+/// file holds fewer records than declared, `readable` stops at the last
+/// whole kReadRecords block, which is where read_record_blocks' short
+/// fread fails — so the store reader decodes the blocks read_binary_trace
+/// decodes and reports its truncation offset.
+RecordSection record_section(std::FILE* f, const std::string& path,
+                             const TraceFileInfo& info) {
+  const long base = std::ftell(f);
+  if (base < 0) throw IoError("ftell failed on '" + path + "'");
+  if (std::fseek(f, 0, SEEK_END) != 0) {
+    throw IoError("seek failed on '" + path + "'");
+  }
+  const long size = std::ftell(f);
+  if (size < 0 || std::fseek(f, base, SEEK_SET) != 0) {
+    throw IoError("seek failed on '" + path + "'");
+  }
+  RecordSection section;
+  section.base = static_cast<std::uint64_t>(base);
+  section.count = info.record_count;
+  const std::uint64_t present =
+      size > base ? static_cast<std::uint64_t>(size - base) / kRecordBytes
+                  : 0;
+  section.readable = present >= section.count
+                         ? section.count
+                         : present / kReadRecords * kReadRecords;
+  return section;
+}
+
+/// Minimum records per range of the store reader (rounded up to whole
+/// windows): enough that a range amortizes its decoder and task, small
+/// enough that a wave's buffers stay a few MiB.
+constexpr std::size_t kRangeRecords = 1 << 12;
+
+/// One decoded window: each touched lane's sealed-ready chunk.
+using WindowChunks = std::vector<std::pair<ResourceId, TraceChunkPtr>>;
+
+/// Freezes one lane's columns into a chunk without copying them.  One
+/// pass finds the end fences and checks the total-key order; only a
+/// failed check pays for a sort, through an index permutation (equal keys
+/// are indistinguishable, so the chunk is the same either way).
+TraceChunkPtr freeze_lane(StgtLaneColumns& lane) {
+  const auto less = [&lane](std::size_t a, std::size_t b) {
+    return interval_key_less(
+        {lane.begins[a], lane.ends[a], lane.states[a]},
+        {lane.begins[b], lane.ends[b], lane.states[b]});
+  };
+  const std::size_t n = lane.begins.size();
+  TimeNs min_end = lane.ends[0];
+  TimeNs max_end = lane.ends[0];
+  bool sorted = true;
+  for (std::size_t i = 1; i < n; ++i) {
+    min_end = std::min(min_end, lane.ends[i]);
+    max_end = std::max(max_end, lane.ends[i]);
+    sorted = sorted && !less(i, i - 1);
+  }
+  if (!sorted) {
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(), less);
+    StgtLaneColumns by_key{lane.resource, {}, {}, {}};
+    by_key.begins.reserve(n);
+    by_key.ends.reserve(n);
+    by_key.states.reserve(n);
+    for (const std::size_t k : order) {
+      by_key.begins.push_back(lane.begins[k]);
+      by_key.ends.push_back(lane.ends[k]);
+      by_key.states.push_back(lane.states[k]);
+    }
+    lane = std::move(by_key);
+  }
+  return std::make_shared<const TraceChunk>(
+      std::make_shared<const ResidentChunkPayload>(
+          std::move(lane.begins), std::move(lane.ends),
+          std::move(lane.states)),
+      min_end, max_end);
+}
+
+/// Decodes one range of whole records (starting at absolute offset
+/// `base`) into per-window chunks built straight from the exact-size
+/// columns: no row copy, no second validation.
+std::vector<WindowChunks> decode_range(std::span<const std::uint8_t> bytes,
+                                       const TraceFileInfo& info,
+                                       const std::string& path,
+                                       std::uint64_t base,
+                                       std::size_t chunk_records) {
+  std::vector<StgtWindowColumns> windows =
+      decode_stgt_columns(bytes, info.resource_paths.size(),
+                          info.states.size(), path, base, chunk_records);
+  std::vector<WindowChunks> out(windows.size());
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    out[w].reserve(windows[w].size());
+    for (StgtLaneColumns& lane : windows[w]) {
+      out[w].emplace_back(lane.resource, freeze_lane(lane));
+    }
+  }
+  return out;
+}
+
 // --- Chunk records (shared by chunk files and spill files) -----------------
 
 std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t h) {
@@ -180,25 +286,6 @@ std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t h) {
 }
 
 constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ull;
-
-/// Column checksum: FNV-1a 64 over the raw begin, end then state bytes
-/// (padding excluded).
-std::uint64_t chunk_checksum(std::span<const TimeNs> begins,
-                             std::span<const TimeNs> ends,
-                             std::span<const StateId> states) {
-  std::uint64_t h = kFnvOffsetBasis;
-  h = fnv1a(begins.data(), begins.size_bytes(), h);
-  h = fnv1a(ends.data(), ends.size_bytes(), h);
-  h = fnv1a(states.data(), states.size_bytes(), h);
-  return h;
-}
-
-/// Total on-disk bytes of one v1 chunk record (header + columns + pad).
-std::size_t chunk_record_bytes_v1(std::uint64_t count) {
-  const std::uint64_t states_padded = pad8(count * 4);
-  return static_cast<std::size_t>(kChunkHeaderBytesV1 + count * 16 +
-                                  states_padded);
-}
 
 /// The codec tags and raw section bytes a v2 record stores for one chunk:
 /// the raw columns of an addressable chunk, the encoded blocks of a
@@ -240,7 +327,7 @@ ChunkSections chunk_sections(const TraceChunk& chunk) {
 }
 
 /// Total on-disk bytes of one v2 chunk record.
-std::uint64_t chunk_record_bytes_v2(std::uint64_t begin_bytes,
+std::uint64_t chunk_record_bytes(std::uint64_t begin_bytes,
                                     std::uint64_t end_bytes,
                                     std::uint64_t state_bytes) {
   return kChunkHeaderBytes + pad8(begin_bytes) + pad8(end_bytes) +
@@ -293,103 +380,13 @@ struct MappedChunkRecord {
   std::size_t record_bytes = 0;
 };
 
-/// Validates and maps one *v1* chunk record at `pos` inside `region`
-/// (whose data() starts at `region_file_offset` in the file) and wraps it
-/// into a file-backed chunk.  Rejects truncated payloads, checksum
-/// mismatches, unsorted columns, out-of-table state ids (`state_count`
-/// entries) and lying fences loudly — every error names the record's
-/// file offset.
-MappedChunkRecord map_chunk_record_v1(
-    const std::shared_ptr<const MappedRegion>& region, std::size_t pos,
-    std::uint64_t region_file_offset, const std::string& path,
-    std::uint64_t state_count) {
-  const std::uint64_t file_offset = region_file_offset + pos;
-  const auto offset_str = " in '" + path + "' at offset " +
-                          std::to_string(file_offset);
-  const std::uint8_t* base = region->data();
-  const std::size_t avail = region->size();
-  if (pos + kChunkHeaderBytesV1 > avail) {
-    throw TraceFormatError("truncated chunk header" + offset_str);
-  }
-  std::uint32_t ur = 0;
-  std::uint64_t count = 0;
-  TimeNs min_end = 0;
-  TimeNs max_end = 0;
-  std::uint64_t checksum = 0;
-  std::memcpy(&ur, base + pos, 4);
-  std::memcpy(&count, base + pos + 8, 8);
-  std::memcpy(&min_end, base + pos + 16, 8);
-  std::memcpy(&max_end, base + pos + 24, 8);
-  std::memcpy(&checksum, base + pos + 32, 8);
-  if (count == 0) {
-    throw TraceFormatError("empty chunk record" + offset_str);
-  }
-  // Guard the size arithmetic before computing record_bytes: a huge count
-  // must read as truncation, not overflow into a small number.
-  if (count > (avail - pos) / 16) {
-    throw TraceFormatError("truncated chunk payload" + offset_str +
-                           " (count " + std::to_string(count) +
-                           " exceeds the file)");
-  }
-  const std::size_t record_bytes = chunk_record_bytes_v1(count);
-  if (pos + record_bytes > avail) {
-    throw TraceFormatError("truncated chunk payload" + offset_str);
-  }
-  const auto n = static_cast<std::size_t>(count);
-  const auto* begins =
-      reinterpret_cast<const TimeNs*>(base + pos + kChunkHeaderBytesV1);
-  const auto* ends = begins + n;
-  const auto* states = reinterpret_cast<const StateId*>(ends + n);
-  const std::span<const TimeNs> begin_col(begins, n);
-  const std::span<const TimeNs> end_col(ends, n);
-  const std::span<const StateId> state_col(states, n);
-  const std::uint64_t computed = chunk_checksum(begin_col, end_col, state_col);
-  if (computed != checksum) {
-    throw TraceFormatError(
-        "chunk checksum mismatch" + offset_str + " (stored " +
-        std::to_string(checksum) + ", computed " + std::to_string(computed) +
-        ")");
-  }
-  // One pass re-deriving what the merge cursors rely on: total-key sort
-  // order and true end fences.
-  TimeNs seen_min_end = end_col[0];
-  TimeNs seen_max_end = end_col[0];
-  for (std::size_t i = 0; i < n; ++i) {
-    if (end_col[i] < begin_col[i]) {
-      throw TraceFormatError("chunk interval with end < begin" + offset_str);
-    }
-    if (state_col[i] < 0 ||
-        static_cast<std::uint64_t>(state_col[i]) >= state_count) {
-      throw TraceFormatError("chunk interval references unknown state " +
-                             std::to_string(state_col[i]) + offset_str);
-    }
-    seen_min_end = std::min(seen_min_end, end_col[i]);
-    seen_max_end = std::max(seen_max_end, end_col[i]);
-    if (i + 1 < n &&
-        interval_key_less({begin_col[i + 1], end_col[i + 1], state_col[i + 1]},
-                          {begin_col[i], end_col[i], state_col[i]})) {
-      throw TraceFormatError("chunk columns not sorted by (begin, end, state)" +
-                             offset_str);
-    }
-  }
-  if (seen_min_end != min_end || seen_max_end != max_end) {
-    throw TraceFormatError("chunk fences disagree with columns" + offset_str);
-  }
-  auto payload = std::make_shared<const MappedChunkPayload>(
-      region, begin_col, end_col, state_col);
-  return {static_cast<ResourceId>(ur),
-          std::make_shared<const TraceChunk>(std::move(payload), min_end,
-                                             max_end),
-          record_bytes};
-}
-
-/// Validates and maps one *v2* chunk record: bounds and codec tags first,
+/// Validates and maps one chunk record: bounds and codec tags first,
 /// then the section checksum, then a full streaming decode re-deriving
 /// sort order, state range and all three fences (a compressed section is
 /// only trusted after every varint/dictionary/run in it decoded cleanly).
 /// All-raw records come back as zero-copy mapped columns; anything else
 /// as a compressed chunk streaming from the mapping.
-MappedChunkRecord map_chunk_record_v2(
+MappedChunkRecord map_chunk_record(
     const std::shared_ptr<const MappedRegion>& region, std::size_t pos,
     std::uint64_t region_file_offset, const std::string& path,
     std::uint64_t state_count) {
@@ -445,7 +442,7 @@ MappedChunkRecord map_chunk_record_v2(
                            " (section sizes exceed the file)");
   }
   const std::uint64_t record_bytes =
-      chunk_record_bytes_v2(begin_bytes, end_bytes, state_bytes);
+      chunk_record_bytes(begin_bytes, end_bytes, state_bytes);
   if (record_bytes > remaining) {
     throw TraceFormatError("truncated chunk payload" + offset_str);
   }
@@ -702,13 +699,7 @@ std::shared_ptr<TraceStore> open_chunk_file_store(const std::string& path) {
   const auto region = MappedRegion::map_file(path);
   MapCursor cur{region->data(), region->size(), 0, path};
   cur.need(sizeof kChunkMagic, "chunk file magic");
-  int version = 0;
-  if (std::memcmp(cur.base, kChunkMagic, sizeof kChunkMagic) == 0) {
-    version = 2;
-  } else if (std::memcmp(cur.base, kChunkMagicV1, sizeof kChunkMagicV1) ==
-             0) {
-    version = 1;
-  } else {
+  if (std::memcmp(cur.base, kChunkMagic, sizeof kChunkMagic) != 0) {
     throw TraceFormatError("bad chunk file magic in '" + path + "'");
   }
   cur.pos += sizeof kChunkMagic;
@@ -745,9 +736,7 @@ std::shared_ptr<TraceStore> open_chunk_file_store(const std::string& path) {
   cur.align8();
   for (std::uint64_t i = 0; i < chunk_count; ++i) {
     MappedChunkRecord rec =
-        version == 2
-            ? map_chunk_record_v2(region, cur.pos, 0, path, state_count)
-            : map_chunk_record_v1(region, cur.pos, 0, path, state_count);
+        map_chunk_record(region, cur.pos, 0, path, state_count);
     if (rec.resource < 0 ||
         static_cast<std::uint64_t>(rec.resource) >= resource_count) {
       throw TraceFormatError("chunk record references unknown resource in '" +
@@ -767,8 +756,7 @@ bool is_chunk_file(const std::string& path) {
   if (std::fread(magic, 1, sizeof magic, f.get()) != sizeof magic) {
     return false;
   }
-  return std::memcmp(magic, kChunkMagic, sizeof kChunkMagic) == 0 ||
-         std::memcmp(magic, kChunkMagicV1, sizeof kChunkMagicV1) == 0;
+  return std::memcmp(magic, kChunkMagic, sizeof kChunkMagic) == 0;
 }
 
 SpilledChunkRecord spill_chunk_to_file(const std::string& path,
@@ -813,18 +801,18 @@ SpilledChunkRecord spill_chunk_to_file(const std::string& path,
   // same path an open uses: a torn or short write surfaces here, loudly,
   // not as a corrupt stream later.
   const ChunkSections sec = chunk_sections(chunk);
-  const std::uint64_t record_bytes = chunk_record_bytes_v2(
+  const std::uint64_t record_bytes = chunk_record_bytes(
       sec.begin.size(), sec.end.size(), sec.state.size());
   const auto region = MappedRegion::map(
       path, offset, static_cast<std::size_t>(record_bytes));
-  return {map_chunk_record_v2(region, 0, offset, path, state_count).chunk,
+  return {map_chunk_record(region, 0, offset, path, state_count).chunk,
           record_bytes};
 }
 
 std::shared_ptr<TraceStore> read_binary_trace_store(const std::string& path,
                                                     std::size_t chunk_records) {
   // Chunk files open zero-copy: mapped columns are served in place instead
-  // of being rehydrated through the record tails.
+  // of being copied into resident ones.
   if (is_chunk_file(path)) return open_chunk_file_store(path);
   if (chunk_records == 0) {
     throw InvalidArgument("read_binary_trace_store: chunk_records must be > 0");
@@ -834,24 +822,63 @@ std::shared_ptr<TraceStore> read_binary_trace_store(const std::string& path,
   auto store = std::make_shared<TraceStore>();
   for (const auto& p : info.resource_paths) store->add_resource(p);
   for (const auto& s : info.states.names()) store->states().intern(s);
-  // Records go straight into the lane tails; every chunk_records records
-  // seal, so chunk boundaries depend only on the file and chunk_records.
-  TraceStore& out = *store;
-  std::size_t staged = 0;
-  const auto append = [&](const StgtRecord& rec) {
-    out.add_state(rec.resource, rec.interval.state, rec.interval.begin,
-                  rec.interval.end);
-    if (++staged == chunk_records) {
-      out.seal_chunk();
-      staged = 0;
+  const RecordSection section = record_section(f.get(), path, info);
+
+  // Ranges are whole windows, so seal points depend only on the file and
+  // chunk_records, never on the range split or the pool size.
+  const std::size_t range_records =
+      chunk_records >= kRangeRecords
+          ? chunk_records
+          : (kRangeRecords + chunk_records - 1) / chunk_records *
+                chunk_records;
+  ThreadPool& pool = ThreadPool::shared();
+  const std::size_t wave = std::max<std::size_t>(1, pool.size());
+  std::vector<std::vector<std::uint8_t>> bytes(wave);
+  std::vector<std::vector<WindowChunks>> decoded(wave);
+  std::vector<std::exception_ptr> errors(wave);
+  std::vector<std::uint64_t> starts(wave);
+  for (std::uint64_t next = 0; next < section.readable;) {
+    // A bounded wave: one range per worker read serially into its own
+    // buffer, then decoded in parallel, each by its own decoder based at
+    // the range's absolute offset.
+    std::size_t ranges = 0;
+    for (; ranges < wave && next < section.readable; ++ranges) {
+      const auto n = static_cast<std::size_t>(
+          std::min<std::uint64_t>(range_records, section.readable - next));
+      bytes[ranges].resize(n * kRecordBytes);
+      read_bytes(f.get(), bytes[ranges].data(), bytes[ranges].size(), path);
+      starts[ranges] = next;
+      next += n;
     }
-  };
-  read_record_blocks(
-      f.get(), path, info, kReadRecords,
-      [&append](StgtRecordDecoder& decoder,
-                std::span<const std::uint8_t> block) {
-        decoder.feed(block, append);
-      });
+    parallel_for(
+        ranges,
+        [&](std::size_t i) {
+          try {
+            decoded[i] = decode_range(bytes[i], info, path,
+                                      section.base + starts[i] * kRecordBytes,
+                                      chunk_records);
+          } catch (...) {
+            errors[i] = std::current_exception();
+          }
+        },
+        /*grain=*/1);
+    // Adopt and seal in file order; the first error in file order wins.
+    for (std::size_t i = 0; i < ranges; ++i) {
+      if (errors[i]) std::rethrow_exception(errors[i]);
+      for (WindowChunks& window : decoded[i]) {
+        for (auto& [resource, chunk] : window) {
+          store->adopt_chunk(resource, std::move(chunk));
+        }
+        store->seal_chunk();
+      }
+      decoded[i].clear();
+    }
+  }
+  if (section.readable < section.count) {
+    throw TraceFormatError("truncated file '" + path + "' at offset " +
+                           std::to_string(section.base +
+                                          section.readable * kRecordBytes));
+  }
   store->set_window(info.window_begin, info.window_end);
   store->seal_chunk();
   return store;

@@ -31,21 +31,18 @@
 //   sections: begin section | pad to 8 | end section | pad to 8
 //             | state section | pad to 8
 // The checksum is FNV-1a 64 over the three *unpadded* encoded sections in
-// order (for an all-raw record this equals the v1 column checksum).  An
-// all-raw record opens zero-copy as mapped columns; any other codec
+// order.  An all-raw record opens zero-copy as mapped columns; any other codec
 // combination opens as a compressed (cursor-streamed) chunk pointing into
 // the mapping.  Readers fully streaming-decode every record at open —
 // section bounds, checksum, codec tags, varint/dictionary well-formedness,
 // the (begin, end, state) sort order and all three fences — and reject
 // truncation and corruption loudly with the offending file offset.
 //
-// Version 1 (magic "STGCHK01", 40-byte record header: u32 resource |
-// u32 reserved | u64 count | i64 min_end | i64 max_end | u64 checksum,
-// followed by raw padded columns) is still opened zero-copy; writers
-// always emit v2.
+// Version 1 files (magic "STGCHK01") are no longer read: their magic fails
+// like any other with a bad-magic TraceFormatError.
 //
-// The same record layout, behind magics "STGSPL02"/"STGSPL01", makes up a
-// store's append-only spill file.
+// The same record layout, behind magic "STGSPL02", makes up a store's
+// append-only spill file.
 #pragma once
 
 #include <cstddef>
@@ -87,19 +84,27 @@ std::uint64_t write_binary_trace(Trace& trace, const std::string& path);
 /// Reads a full trace file into memory.  Throws TraceFormatError/IoError.
 [[nodiscard]] Trace read_binary_trace(const std::string& path);
 
-/// Streams a trace file into an immutable chunked store: records are
-/// decoded straight into the resource tails (no intermediate record
-/// buffer) and sealed every `chunk_records` records, so the result arrives
-/// pre-chunked and shared-ready (back it with TraceViews / a
-/// SessionManager) while peak mutable memory stays bounded by one record
-/// chunk plus the store's size-tiered compaction buffer.  Each seal visits
-/// only the resources it touched and skips the sort for tails already in
-/// key order, so a sorted resource-major file (what write_binary_trace
-/// emits) costs about one pass over its bytes.  Chunk boundaries depend
-/// only on the file and `chunk_records`.  The interval multiset — and
-/// therefore every model fold — is bit-identical to read_binary_trace, and
-/// malformed records fail with the same TraceFormatError message and
-/// absolute offset.
+/// Reads a trace file into an immutable chunked store, decoding the record
+/// section column-direct: each window of `chunk_records` records is
+/// validated by the StgtRecordDecoder grammar (pass 1, which only notes
+/// each record's lane), then scattered straight into exact-size per-lane
+/// begin/end/state columns (pass 2) that become that window's chunks — no
+/// row tail, no second validation, no row-to-column copy.  A lane's
+/// columns are sorted only when they are not already in key order, so a
+/// sorted resource-major file (what write_binary_trace emits) costs two
+/// passes over its bytes.  The store adopts each window's chunks and seals
+/// after every window (compaction, compression policy and audit stay the
+/// store's), so chunk boundaries depend only on the file and
+/// `chunk_records`.
+///
+/// Ranges of whole windows decode in parallel on ThreadPool::shared(), a
+/// bounded wave at a time through one fread buffer per range; they are
+/// adopted in file order, so the store is the same at any pool size.  The
+/// interval multiset — and therefore every model fold — is bit-identical
+/// to read_binary_trace, and malformed records fail with the same
+/// TraceFormatError message and absolute offset: the first error in file
+/// order wins, and a truncated record section reports read_binary_trace's
+/// offset.
 ///
 /// Chunk files (STGC) take a zero-copy path instead: the file is mmapped
 /// once and the store's chunks read the validated records in place

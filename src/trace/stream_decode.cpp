@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -179,6 +181,147 @@ void StgtRecordDecoder::finish() const {
         std::to_string(base_offset_ + decoded_ * kRecordBytes) + " (" +
         std::to_string(carry_len_) + " trailing bytes)");
   }
+}
+
+namespace {
+
+/// Forward iterator over one field of consecutive STGT records, so a
+/// lane's run of records appends to a column in one exact-size insert.
+template <class T, std::size_t Offset>
+class RecordField {
+ public:
+  using iterator_category = std::forward_iterator_tag;
+  using value_type = T;
+  using difference_type = std::ptrdiff_t;
+  using pointer = const T*;
+  using reference = T;
+
+  RecordField() = default;
+  explicit RecordField(const std::uint8_t* record) : record_(record) {}
+  T operator*() const {
+    T v;
+    std::memcpy(&v, record_ + Offset, sizeof v);
+    return v;
+  }
+  RecordField& operator++() {
+    record_ += StgtRecordDecoder::kRecordBytes;
+    return *this;
+  }
+  RecordField operator++(int) {
+    RecordField at = *this;
+    ++*this;
+    return at;
+  }
+  bool operator==(const RecordField& other) const {
+    return record_ == other.record_;
+  }
+
+ private:
+  const std::uint8_t* record_ = nullptr;
+};
+
+template <class T, std::size_t Offset>
+void append_field(std::vector<T>& column, const std::uint8_t* first,
+                  const std::uint8_t* last) {
+  column.insert(column.end(), RecordField<T, Offset>(first),
+                RecordField<T, Offset>(last));
+}
+
+constexpr std::size_t kUntouched = ~std::size_t{0};
+
+/// Pass-1 notes of one window: the lanes it touched, in first-touch
+/// order, and its records as runs of consecutive records of one lane.
+struct WindowRuns {
+  struct Run {
+    std::size_t slot;
+    std::size_t length;
+  };
+  StgtWindowColumns lanes;
+  std::vector<Run> runs;
+
+  /// Opens a run of `resource`'s records; `slot_of` maps resources to
+  /// lane slots (kUntouched outside this window).  Out of line: it runs
+  /// once per run, and keeping it out lets the record loop inline.
+  [[gnu::noinline]] void start(ResourceId resource,
+                               std::vector<std::size_t>& slot_of) {
+    const auto r = static_cast<std::size_t>(resource);
+    if (r >= slot_of.size()) slot_of.resize(r + 1, kUntouched);
+    if (slot_of[r] == kUntouched) {
+      slot_of[r] = lanes.size();
+      lanes.push_back({resource, {}, {}, {}});
+    }
+    runs.push_back({slot_of[r], 0});
+  }
+};
+
+}  // namespace
+
+std::vector<StgtWindowColumns> decode_stgt_columns(
+    std::span<const std::uint8_t> bytes, std::uint64_t resource_count,
+    std::uint64_t state_count, const std::string& context,
+    std::uint64_t base_offset, std::size_t window_records) {
+  if (window_records == 0) {
+    throw InvalidArgument("decode_stgt_columns: window_records must be > 0");
+  }
+  // Every accepted id must be a valid, non-negative ResourceId.
+  if (resource_count >
+      std::uint64_t{std::numeric_limits<ResourceId>::max()} + 1) {
+    throw InvalidArgument("decode_stgt_columns: too many resources");
+  }
+  constexpr std::size_t kRecord = StgtRecordDecoder::kRecordBytes;
+  StgtRecordDecoder decoder(resource_count, state_count, context,
+                            base_offset);
+  const std::size_t whole = bytes.size() / kRecord;
+  std::vector<StgtWindowColumns> windows;
+  windows.reserve((whole + window_records - 1) / window_records);
+  // Grown on demand: only ids the decoder accepted index it.
+  std::vector<std::size_t> slot_of;
+  std::vector<std::size_t> counts;  // records per lane slot
+  for (std::size_t first = 0; first < whole; first += window_records) {
+    const std::size_t n = std::min(window_records, whole - first);
+    const auto window = bytes.subspan(first * kRecord, n * kRecord);
+    // Pass 1: the one record grammar; the sink only notes lanes.
+    WindowRuns notes;
+    ResourceId run_resource = -1;
+    std::size_t run_length = 0;
+    decoder.feed(window, [&](const StgtRecord& rec) {
+      if (rec.resource != run_resource) {
+        if (run_length != 0) notes.runs.back().length = run_length;
+        notes.start(rec.resource, slot_of);
+        run_resource = rec.resource;
+        run_length = 0;
+      }
+      ++run_length;
+    });
+    if (run_length != 0) notes.runs.back().length = run_length;
+    // Pass 2: scatter the checked bytes into exact-size columns.
+    StgtWindowColumns& lanes = notes.lanes;
+    counts.assign(lanes.size(), 0);
+    for (const WindowRuns::Run& run : notes.runs) {
+      counts[run.slot] += run.length;
+    }
+    for (std::size_t slot = 0; slot < lanes.size(); ++slot) {
+      StgtLaneColumns& lane = lanes[slot];
+      lane.begins.reserve(counts[slot]);
+      lane.ends.reserve(counts[slot]);
+      lane.states.reserve(counts[slot]);
+      slot_of[static_cast<std::size_t>(lane.resource)] = kUntouched;
+    }
+    const std::uint8_t* record = window.data();
+    for (const WindowRuns::Run& run : notes.runs) {
+      StgtLaneColumns& lane = lanes[run.slot];
+      const std::uint8_t* last = record + run.length * kRecord;
+      append_field<TimeNs, 8>(lane.begins, record, last);
+      append_field<TimeNs, 16>(lane.ends, record, last);
+      append_field<StateId, 4>(lane.states, record, last);
+      record = last;
+    }
+    windows.push_back(std::move(lanes));
+  }
+  // A trailing partial record fails exactly as the decoder's finish().
+  decoder.feed(bytes.subspan(whole * kRecord), [](const StgtRecord&) {});
+  decoder.finish();
+  return windows;
 }
 
 }  // namespace stagg

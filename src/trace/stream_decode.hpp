@@ -191,6 +191,32 @@ class StgtRecordDecoder {
   std::size_t carry_len_ = 0;
 };
 
+/// One lane's records within one window of a column-direct decode:
+/// exact-size parallel columns, in file order.
+struct StgtLaneColumns {
+  ResourceId resource = 0;
+  std::vector<TimeNs> begins;
+  std::vector<TimeNs> ends;
+  std::vector<StateId> states;
+};
+
+/// Every lane one window touched, in first-touch order.
+using StgtWindowColumns = std::vector<StgtLaneColumns>;
+
+/// Column-direct decode of one range of an STGT record section: `bytes`
+/// starts at absolute file offset `base_offset` and is cut into windows of
+/// `window_records` records.  Per window, pass 1 runs every record through
+/// a StgtRecordDecoder — so checks, messages and absolute offsets are the
+/// grammar's — counting records per lane; pass 2 scatters the checked
+/// bytes into exact-size columns per touched lane.  A trailing partial
+/// record fails like StgtRecordDecoder::finish() once the whole records
+/// before it decoded.  Ranges are independent: one decoder per range, so
+/// ranges of one file decode in parallel.
+[[nodiscard]] std::vector<StgtWindowColumns> decode_stgt_columns(
+    std::span<const std::uint8_t> bytes, std::uint64_t resource_count,
+    std::uint64_t state_count, const std::string& context,
+    std::uint64_t base_offset, std::size_t window_records);
+
 // --- Pipeline messages ------------------------------------------------------
 
 /// One id-resolved event, ready for TraceStore::add_state.

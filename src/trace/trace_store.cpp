@@ -331,15 +331,23 @@ void TraceStore::set_compression(ChunkCompression policy) {
 void TraceStore::seal_chunk() {
   if (sealed_) return;
   // Only dirty lanes can hold a tail or a chunk list past the compaction
-  // threshold; every other lane is left untouched.  Per-lane unlink lists:
-  // compaction runs inside the parallel region, so spill-record accounting
-  // is collected per lane and folded in serially.
+  // threshold; every other lane — and every dirty lane with neither, such
+  // as one that only adopted chunks — is left untouched.  Per-lane unlink
+  // lists: compaction runs inside the parallel region, so spill-record
+  // accounting is collected per lane and folded in serially.
+  std::vector<std::size_t> busy;
+  for (const std::size_t r : dirty_lanes_) {
+    if (!lanes_[r].tail.empty() ||
+        lanes_[r].chunks.size() > kCompactionThreshold) {
+      busy.push_back(r);
+    }
+  }
   std::vector<std::vector<std::shared_ptr<const ChunkPayload>>> unlinked(
-      dirty_lanes_.size());
+      busy.size());
   parallel_for(
-      dirty_lanes_.size(),
-      [this, &unlinked](std::size_t i) {
-        Lane& lane = lanes_[dirty_lanes_[i]];
+      busy.size(),
+      [this, &busy, &unlinked](std::size_t i) {
+        Lane& lane = lanes_[busy[i]];
         if (!lane.tail.empty()) {
           // Horizon stickiness: an interval ending at or below the
           // eviction horizon can never be read by a legal window (views

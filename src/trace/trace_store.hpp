@@ -559,9 +559,10 @@ class TraceStore {
     return lanes_[static_cast<std::size_t>(r)].chunks;
   }
   /// Adopts an externally built sealed chunk (the zero-copy chunk-file
-  /// open path): appended to resource r's chunk list as-is.  The chunk
-  /// must be sorted by the total key — binary_io validates this when it
-  /// maps a record.  Unseals the store (call seal_chunk() when done).
+  /// open path, the column-direct STGT reader): appended to resource r's
+  /// chunk list as-is.  The chunk must be sorted by the total key —
+  /// binary_io validates or sorts before adopting.  Unseals the store
+  /// (call seal_chunk() when done; it compacts the lane).
   void adopt_chunk(ResourceId r, TraceChunkPtr chunk);
 
   /// Rebuilds the fully merged row view of one resource: sealed chunks

@@ -1184,10 +1184,10 @@ TEST(TraceStoreIo, CompressedChunkFileRoundTripsAndRejectsCorruption) {
   std::remove(path.c_str());
 }
 
-TEST(TraceStoreIo, ChunkFileV1StillOpensZeroCopy) {
-  // Back-compat: a v1 chunk file (raw columns, 40-byte record headers)
-  // synthesized byte-for-byte must keep opening through the same reader,
-  // fully file-backed.
+TEST(TraceStoreIo, ChunkFileV1FailsWithBadMagic) {
+  // v1 chunk files (raw columns, 40-byte record headers) are no longer
+  // read: a well-formed one synthesized byte-for-byte is not a chunk file
+  // and fails every open path with a typed bad-magic error.
   std::vector<std::uint8_t> bytes;
   const auto append_pod = [&](const auto& v) {
     const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
@@ -1242,19 +1242,22 @@ TEST(TraceStoreIo, ChunkFileV1StillOpensZeroCopy) {
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
   }
-  ASSERT_TRUE(is_chunk_file(path));
-  const auto store = read_binary_trace_store(path);
-  EXPECT_EQ(store->state_count(), 3u);
-  EXPECT_EQ(store->resident_chunk_bytes(), 0u);
-  EXPECT_GT(store->spilled_chunk_bytes(), 0u);
-  EXPECT_EQ(store->begin(), 0);
-  EXPECT_EQ(store->end(), 30);
-  const auto rows = stream_all(TraceView(store));
-  ASSERT_EQ(rows.size(), 1u);
-  ASSERT_EQ(rows[0].size(), 3u);
-  EXPECT_EQ(rows[0][0], (StateInterval{0, 10, 0}));
-  EXPECT_EQ(rows[0][1], (StateInterval{5, 25, 0}));
-  EXPECT_EQ(rows[0][2], (StateInterval{20, 30, 0}));
+  EXPECT_FALSE(is_chunk_file(path));
+  const auto error_of = [](const auto& open) -> std::string {
+    try {
+      open();
+    } catch (const TraceFormatError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(error_of([&] { (void)open_chunk_file_store(path); }),
+            "trace format error: bad chunk file magic in '" + path + "'");
+  const std::string stgt_magic =
+      "trace format error: bad magic in '" + path + "'";
+  EXPECT_EQ(error_of([&] { (void)read_binary_trace_store(path); }),
+            stgt_magic);
+  EXPECT_EQ(error_of([&] { (void)read_binary_trace(path); }), stgt_magic);
   std::remove(path.c_str());
 }
 
@@ -1622,6 +1625,169 @@ TEST(TraceStoreIo, MalformedRecordsFailAlikeThroughStoreAndTraceReaders) {
               }),
               want)
         << "chunk_records " << chunk_records;
+  }
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Range seams of the store reader.  It decodes ranges of whole windows in
+// parallel — at least 4096 records each, rounded up to whole windows of
+// chunk_records — so at these chunk_records a 20000-record file spans
+// many ranges (7 and 64), two ranges (10000) and one range (1 << 16).
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kSeamChunkRecords[] = {7, 64, 10000, 1 << 16};
+
+/// Two lanes of sorted, non-overlapping records, interleaved in runs.
+std::vector<StgtRecord> seam_records(std::size_t count) {
+  std::vector<StgtRecord> records;
+  records.reserve(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    const auto b = static_cast<TimeNs>(k * 10);
+    records.push_back({static_cast<ResourceId>((k / 5) % 2),
+                       StateInterval{b, b + 5, static_cast<StateId>(k % 2)}});
+  }
+  return records;
+}
+
+TEST(TraceStoreIo, EarliestMalformedRecordAcrossRangesWins) {
+  const std::vector<std::string> resources = {"r0", "r1"};
+  const std::vector<std::string> states = {"s0", "s1"};
+  const std::uint64_t base = 48 + (4 + 2) * 2 + (4 + 2) * 2;
+  auto records = seam_records(20000);
+  // An unknown state late in the file, then end < begin early in it: the
+  // early record is the one every reader must report.
+  records[15000].interval.state = 2;
+  records[3000].interval.end = records[3000].interval.begin - 1;
+  const std::string path = temp_path("seam_two_bad");
+  write_raw_stgt(path, resources, states, 0, 200000, records,
+                 records.size());
+  const std::string want =
+      "trace format error: record with end < begin in '" + path +
+      "' at offset " + std::to_string(base + 3000 * 24);
+  EXPECT_EQ(format_error([&] { (void)read_binary_trace(path); }), want);
+  for (const std::size_t chunk_records : kSeamChunkRecords) {
+    EXPECT_EQ(format_error([&] {
+                (void)read_binary_trace_store(path, chunk_records);
+              }),
+              want)
+        << "chunk_records " << chunk_records;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceStoreIo, MalformedRecordBeforeTruncatedTailWins) {
+  const std::vector<std::string> resources = {"r0", "r1"};
+  const std::vector<std::string> states = {"s0", "s1"};
+  const std::uint64_t base = 48 + (4 + 2) * 2 + (4 + 2) * 2;
+  // 70000 records present, 70010 declared: the first 65536-record read
+  // block is whole, the second is cut short.
+  for (const std::size_t bad : {std::size_t{100}, std::size_t{66000}}) {
+    auto records = seam_records(70000);
+    records[bad].resource = 2;
+    const std::string path = temp_path("seam_bad_truncated");
+    write_raw_stgt(path, resources, states, 0, 800000, records,
+                   records.size() + 10);
+    // A malformed record in a whole block wins; one inside the cut block
+    // is never decoded, so the truncation at that block's start wins.
+    const std::string want =
+        bad < 65536 ? "trace format error: record references unknown "
+                      "resource in '" + path + "' at offset " +
+                          std::to_string(base + bad * 24)
+                    : "trace format error: truncated file '" + path +
+                          "' at offset " + std::to_string(base + 65536 * 24);
+    EXPECT_EQ(format_error([&] { (void)read_binary_trace(path); }), want);
+    for (const std::size_t chunk_records : kSeamChunkRecords) {
+      EXPECT_EQ(format_error([&] {
+                  (void)read_binary_trace_store(path, chunk_records);
+                }),
+                want)
+          << "bad " << bad << " chunk_records " << chunk_records;
+    }
+    std::remove(path.c_str());
+  }
+}
+
+TEST(TraceStoreIo, RangeSplitKeepsTheWindowSealLayout) {
+  // 20000 records is a multiple of no range size here, so every split
+  // ends in a short range (and, but for 10000, a short window).  The
+  // layout must be the one of sealing every chunk_records appended
+  // records, whatever the split.
+  const Hierarchy h = make_balanced_hierarchy(2, 3);
+  const std::vector<std::string> paths = leaf_paths(h);
+  const std::vector<std::string> states = {"a", "b", "c"};
+  for (const bool shuffled : {false, true}) {
+    std::vector<StgtRecord> records = seam_records(20000);
+    if (shuffled) records = shuffled_records(h, 0xFACE, 18800);
+    const std::string path = temp_path("seam_layout");
+    write_raw_stgt(path, paths, states, 0, seconds(11.0), records,
+                   records.size());
+    for (const std::size_t chunk_records : kSeamChunkRecords) {
+      const std::string ctx = std::string(shuffled ? "shuffled" : "runs") +
+                              " chunk_records " +
+                              std::to_string(chunk_records);
+      TraceStore want;
+      for (const auto& p : paths) want.add_resource(p);
+      for (const auto& x : states) (void)want.states().intern(x);
+      std::size_t staged = 0;
+      for (const StgtRecord& rec : records) {
+        want.add_state(rec.resource, rec.interval.state, rec.interval.begin,
+                       rec.interval.end);
+        if (++staged == chunk_records) {
+          want.seal_chunk();
+          staged = 0;
+        }
+      }
+      want.set_window(0, seconds(11.0));
+      want.seal_chunk();
+
+      const auto got = read_binary_trace_store(path, chunk_records);
+      EXPECT_NO_THROW(got->audit()) << ctx;
+      EXPECT_EQ(got->store_bytes(), want.store_bytes()) << ctx;
+      std::vector<StateInterval> got_rows;
+      std::vector<StateInterval> want_rows;
+      for (ResourceId r = 0; r < static_cast<ResourceId>(paths.size());
+           ++r) {
+        ASSERT_EQ(got->chunks(r).size(), want.chunks(r).size())
+            << ctx << " resource " << r;
+        for (std::size_t c = 0; c < want.chunks(r).size(); ++c) {
+          EXPECT_EQ(got->chunks(r)[c]->size(), want.chunks(r)[c]->size())
+              << ctx << " resource " << r << " chunk " << c;
+        }
+        got->materialize(r, got_rows);
+        want.materialize(r, want_rows);
+        EXPECT_EQ(got_rows, want_rows) << ctx << " resource " << r;
+      }
+    }
+    std::remove(path.c_str());
+  }
+}
+
+TEST(TraceStoreIo, ShuffledLanesAcrossRangesMatchTraceReader) {
+  const Hierarchy h = make_balanced_hierarchy(2, 3);
+  const std::vector<std::string> paths = leaf_paths(h);
+  const auto records = shuffled_records(h, 0xBEEF, 20000);
+  const std::string path = temp_path("seam_shuffled");
+  write_raw_stgt(path, paths, {"a", "b", "c"}, 0, seconds(11.0), records,
+                 records.size());
+  Trace read = read_binary_trace(path);
+  ModelBuildOptions opt;
+  opt.slice_count = 20;
+  const MicroscopicModel want = build_model(read, h, opt);
+  for (const std::size_t chunk_records : kSeamChunkRecords) {
+    const std::string ctx = "chunk_records " + std::to_string(chunk_records);
+    const auto store = read_binary_trace_store(path, chunk_records);
+    EXPECT_NO_THROW(store->audit()) << ctx;
+    ASSERT_EQ(store->state_count(), records.size()) << ctx;
+    std::vector<StateInterval> rows;
+    for (ResourceId r = 0; r < static_cast<ResourceId>(paths.size()); ++r) {
+      store->materialize(r, rows);
+      const auto want_rows = read.intervals(r);
+      ASSERT_EQ(rows.size(), want_rows.size()) << ctx << " resource " << r;
+      EXPECT_TRUE(std::equal(rows.begin(), rows.end(), want_rows.begin()))
+          << ctx << " resource " << r;
+    }
+    expect_models_equal(want, build_model(TraceView(store), h, opt), ctx);
   }
   std::remove(path.c_str());
 }
