@@ -16,8 +16,11 @@
 // it under the cap *with chunk compression* (ChunkCompression::kAuto) —
 // the encoded chunks must also hold the budget, stay bit-identical, and
 // keep the same <= 1.3x slowdown bar while reporting bytes/interval and
-// the achieved compression ratio.  --smoke emits BENCH_spill.json for CI
-// trend tracking; exit is non-zero on any violated bar.
+// the achieved compression ratio.  A spill-layer row reports, per budgeted
+// leg, the spill-file write calls, records written and CPU microseconds
+// per record (TraceStore::spill_counters); it has no bar.  --smoke emits
+// BENCH_spill.json for CI trend tracking; exit is non-zero on any
+// violated bar.
 #include <algorithm>
 #include <array>
 #include <cstdio>
@@ -63,12 +66,18 @@ struct RunStats {
   std::size_t store_bytes_peak = 0;
   std::size_t store_bytes_final = 0;
   std::size_t intervals_final = 0;
+  /// Spill-file writes over the run, summed over shards.
+  TraceStore::SpillCounters spill;
   /// results[round][session]
   std::vector<std::vector<std::vector<AggregationResult>>> results;
 
   [[nodiscard]] double bytes_per_interval() const noexcept {
     return static_cast<double>(store_bytes_final) /
            static_cast<double>(std::max<std::size_t>(1, intervals_final));
+  }
+  [[nodiscard]] double spill_us_per_record() const noexcept {
+    return static_cast<double>(spill.cpu_ns) * 1e-3 /
+           static_cast<double>(std::max<std::uint64_t>(1, spill.records));
   }
 };
 
@@ -213,6 +222,13 @@ int run(int argc, const char* const* argv) {
     stats.store_bytes_final = manager.store_bytes();
     stats.intervals_final =
         static_cast<std::size_t>(manager.store().state_count());
+    const ShardedTraceStore& store = *manager.sharded_store();
+    for (std::size_t k = 0; k < store.shard_count(); ++k) {
+      const TraceStore::SpillCounters& c = store.shard(k).spill_counters();
+      stats.spill.batches += c.batches;
+      stats.spill.records += c.records;
+      stats.spill.cpu_ns += c.cpu_ns;
+    }
     return stats;
   };
 
@@ -275,6 +291,15 @@ int run(int argc, const char* const* argv) {
               "%.2fx compression\n",
               resident.bytes_per_interval(), compressed.bytes_per_interval(),
               compression_ratio);
+  std::printf("spill layer          : budgeted %llu calls, %llu records, "
+              "%.1f us CPU/record | budgeted+compressed %llu calls, %llu "
+              "records, %.1f us CPU/record\n",
+              static_cast<unsigned long long>(budgeted.spill.batches),
+              static_cast<unsigned long long>(budgeted.spill.records),
+              budgeted.spill_us_per_record(),
+              static_cast<unsigned long long>(compressed.spill.batches),
+              static_cast<unsigned long long>(compressed.spill.records),
+              compressed.spill_us_per_record());
   std::printf("equivalence          : %s\n\n",
               equivalent ? "bit-identical on every round"
                          : "MISMATCH (BUG)");
@@ -319,6 +344,16 @@ int run(int argc, const char* const* argv) {
     out << "  \"compressed_bytes_per_interval\": " << buf << ",\n";
     std::snprintf(buf, sizeof buf, "%.6g", compression_ratio);
     out << "  \"compression_ratio\": " << buf << ",\n";
+    for (const auto& [leg, stats] :
+         {std::pair<const char*, const RunStats*>{"budgeted", &budgeted},
+          {"compressed", &compressed}}) {
+      out << "  \"" << leg << "_spill_calls\": " << stats->spill.batches
+          << ",\n";
+      out << "  \"" << leg << "_spill_records\": " << stats->spill.records
+          << ",\n";
+      std::snprintf(buf, sizeof buf, "%.6g", stats->spill_us_per_record());
+      out << "  \"" << leg << "_spill_cpu_us_per_record\": " << buf << ",\n";
+    }
     out << "  \"equivalent\": " << (equivalent ? "true" : "false") << "\n";
     out << "}\n";
     std::printf("summary written to %s\n", json_path.c_str());

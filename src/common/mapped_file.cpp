@@ -111,9 +111,10 @@ std::shared_ptr<const MappedRegion> MappedRegion::map_file(
   return map(path, 0, static_cast<std::size_t>(file_size));
 }
 
-void MappedRegion::advise(MapAdvice advice) const noexcept {
+void MappedRegion::advise(MapAdvice advice,
+                          std::span<const std::uint8_t> bytes) const noexcept {
 #if STAGG_HAVE_MMAP
-  if (map_base_ == nullptr) return;
+  if (map_base_ == nullptr || bytes.empty()) return;
   int flag = MADV_NORMAL;
   switch (advice) {
     case MapAdvice::kSequential:
@@ -126,11 +127,19 @@ void MappedRegion::advise(MapAdvice advice) const noexcept {
       flag = MADV_DONTNEED;
       break;
   }
+  // madvise takes a page-aligned start: round down to the page holding
+  // the first byte (never below the page-aligned mapping base).
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto first = reinterpret_cast<std::uintptr_t>(bytes.data());
+  const std::uintptr_t start = first - first % page;
   // Best-effort: advice may legitimately fail (e.g. locked pages) and the
   // mapping stays fully readable either way.
-  (void)::madvise(map_base_, map_size_, flag);
+  (void)::madvise(reinterpret_cast<void*>(start),
+                  static_cast<std::size_t>(first - start) + bytes.size(),
+                  flag);
 #else
   (void)advice;
+  (void)bytes;
 #endif
 }
 

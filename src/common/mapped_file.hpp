@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 namespace stagg {
@@ -59,10 +60,13 @@ class MappedRegion {
     return map_base_ == nullptr;
   }
 
-  /// Forwards `advice` to madvise over the whole mapping.  Best-effort:
-  /// a no-op on the heap fallback and on platforms without madvise, and
-  /// errors are ignored (advice never affects correctness).
-  void advise(MapAdvice advice) const noexcept;
+  /// Forwards `advice` to madvise over the pages holding `bytes`, a
+  /// sub-range of [data(), data() + size()) — one record of a mapping
+  /// shared by many, or the whole of it.  Best-effort: a no-op on the heap
+  /// fallback and on platforms without madvise, and errors are ignored
+  /// (advice never affects correctness).
+  void advise(MapAdvice advice,
+              std::span<const std::uint8_t> bytes) const noexcept;
 
  private:
   MappedRegion() = default;

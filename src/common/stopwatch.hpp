@@ -1,8 +1,10 @@
-// Wall-clock stopwatch used by the Table II timing harness.
+// Wall-clock stopwatch used by the Table II timing harness, and a
+// per-thread CPU clock.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
+#include <ctime>
 #include <string>
 
 namespace stagg {
@@ -31,6 +33,20 @@ class Stopwatch {
  private:
   Clock::time_point start_;
 };
+
+/// CPU time consumed so far by the calling thread, in nanoseconds (process
+/// CPU time where no per-thread clock exists).  Differences time one
+/// thread's work without counting what other threads do meanwhile.
+[[nodiscard]] inline std::int64_t thread_cpu_ns() noexcept {
+#if defined(CLOCK_THREAD_CPUTIME_ID)
+  timespec t{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t);
+  return static_cast<std::int64_t>(t.tv_sec) * 1'000'000'000 + t.tv_nsec;
+#else
+  return static_cast<std::int64_t>(std::clock()) * 1'000'000'000 /
+         CLOCKS_PER_SEC;
+#endif
+}
 
 /// Formats a duration in seconds as a short human string ("<1s", "2.4s",
 /// "613s") mirroring how Table II of the paper reports times.

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <filesystem>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -334,8 +335,10 @@ std::uint64_t chunk_record_bytes(std::uint64_t begin_bytes,
          pad8(state_bytes);
 }
 
-void write_chunk_record(std::FILE* f, const std::string& path,
-                        ResourceId resource, const TraceChunk& chunk) {
+/// Writes one v2 chunk record; returns its on-disk bytes.
+std::uint64_t write_chunk_record(std::FILE* f, const std::string& path,
+                                 ResourceId resource,
+                                 const TraceChunk& chunk) {
   ChunkSections sec = chunk_sections(chunk);
   std::uint64_t checksum = kFnvOffsetBasis;
   checksum = fnv1a(sec.begin.data(), sec.begin.size(), checksum);
@@ -372,6 +375,7 @@ void write_chunk_record(std::FILE* f, const std::string& path,
     const std::uint64_t pad = pad8(section.size()) - section.size();
     if (pad != 0) write_bytes(f, zeros, static_cast<std::size_t>(pad), path);
   }
+  return chunk_record_bytes(begin_bytes, end_bytes, state_bytes);
 }
 
 struct MappedChunkRecord {
@@ -525,6 +529,8 @@ MappedChunkRecord map_chunk_record(
     throw TraceFormatError("chunk fences disagree with columns" + offset_str);
   }
 
+  const std::span<const std::uint8_t> record(
+      base + pos, static_cast<std::size_t>(record_bytes));
   TraceChunkPtr chunk;
   if (coding.begin_codec == TimeCodec::kRaw &&
       coding.end_codec == TimeCodec::kRaw &&
@@ -538,12 +544,13 @@ MappedChunkRecord map_chunk_record(
     const std::span<const StateId> state_col(
         reinterpret_cast<const StateId*>(base + sec2), n);
     auto payload = std::make_shared<const MappedChunkPayload>(
-        region, begin_col, end_col, state_col);
+        region, record, begin_col, end_col, state_col);
     chunk = std::make_shared<const TraceChunk>(std::move(payload), min_end,
                                                max_end);
   } else {
     auto payload =
-        std::make_shared<const CompressedChunkPayload>(region, coding);
+        std::make_shared<const CompressedChunkPayload>(region, record,
+                                                       coding);
     chunk = std::make_shared<const TraceChunk>(std::move(payload), first,
                                                last, min_end, max_end);
   }
@@ -759,54 +766,85 @@ bool is_chunk_file(const std::string& path) {
   return std::memcmp(magic, kChunkMagic, sizeof kChunkMagic) == 0;
 }
 
-SpilledChunkRecord spill_chunk_to_file(const std::string& path,
-                                       ResourceId resource,
-                                       const TraceChunk& chunk,
-                                       std::uint64_t state_count) {
-  std::uint64_t offset = 0;
-  {
-    // "a+" so a pre-existing file's magic can be read back: appending to
-    // a file that is not a spill file would corrupt it, and appending at
-    // a non-8-aligned offset would break the in-place column alignment
-    // every mapped read relies on.
-    FilePtr f = open_file(path, "a+b");
+std::vector<SpilledChunkRecord> spill_chunks_to_file(
+    const std::string& path, std::span<const SpillItem> items,
+    std::uint64_t state_count) {
+  if (items.empty()) return {};
+  // "a+" so a pre-existing file's magic can be read back: appending to a
+  // file that is not a spill file would corrupt it, and appending at a
+  // non-8-aligned offset would break the in-place column alignment every
+  // mapped read relies on.
+  FilePtr f = open_file(path, "a+b");
+  if (std::fseek(f.get(), 0, SEEK_END) != 0) {
+    throw IoError("seek failed on spill file '" + path + "'");
+  }
+  const long end = std::ftell(f.get());
+  if (end < 0) throw IoError("ftell failed on spill file '" + path + "'");
+  if (end != 0) {
+    char magic[8];
+    if (std::fseek(f.get(), 0, SEEK_SET) != 0 ||
+        std::fread(magic, 1, sizeof magic, f.get()) != sizeof magic ||
+        std::memcmp(magic, kSpillMagic, sizeof kSpillMagic) != 0 ||
+        end % 8 != 0) {
+      throw IoError("'" + path +
+                    "' exists but is not a spill file (refusing to append)");
+    }
+    // A write after a read needs a positioning call in between.
     if (std::fseek(f.get(), 0, SEEK_END) != 0) {
       throw IoError("seek failed on spill file '" + path + "'");
     }
-    long end = std::ftell(f.get());
-    if (end < 0) throw IoError("ftell failed on spill file '" + path + "'");
-    if (end == 0) {
+  }
+  const auto old_size = static_cast<std::uint64_t>(end);
+  try {
+    const std::uint64_t offset = old_size == 0 ? sizeof kSpillMagic : old_size;
+    if (old_size == 0) {
       write_bytes(f.get(), kSpillMagic, sizeof kSpillMagic, path);
-      end = sizeof kSpillMagic;
-    } else {
-      char magic[8];
-      if (std::fseek(f.get(), 0, SEEK_SET) != 0 ||
-          std::fread(magic, 1, sizeof magic, f.get()) != sizeof magic ||
-          std::memcmp(magic, kSpillMagic, sizeof kSpillMagic) != 0 ||
-          end % 8 != 0) {
-        throw IoError("'" + path +
-                      "' exists but is not a spill file (refusing to append)");
-      }
-      if (std::fseek(f.get(), 0, SEEK_END) != 0) {
-        throw IoError("seek failed on spill file '" + path + "'");
-      }
     }
-    offset = static_cast<std::uint64_t>(end);
-    write_chunk_record(f.get(), path, resource, chunk);
+    std::vector<std::uint64_t> record_bytes;
+    record_bytes.reserve(items.size());
+    std::uint64_t batch_bytes = 0;
+    for (const SpillItem& item : items) {
+      record_bytes.push_back(
+          write_chunk_record(f.get(), path, item.resource, *item.chunk));
+      batch_bytes += record_bytes.back();
+    }
     if (std::fflush(f.get()) != 0) {
       throw IoError("flush failed on spill file '" + path + "'");
     }
+    f.reset();
+    // Map the appended range back once and re-validate every record
+    // through the same path an open uses: a torn or short write surfaces
+    // here, loudly, not as a corrupt stream later.
+    const auto region = MappedRegion::map(
+        path, offset, static_cast<std::size_t>(batch_bytes));
+    std::vector<SpilledChunkRecord> out;
+    out.reserve(items.size());
+    std::size_t pos = 0;
+    for (std::size_t k = 0; k < items.size(); ++k) {
+      MappedChunkRecord rec =
+          map_chunk_record(region, pos, offset, path, state_count);
+      if (rec.resource != items[k].resource ||
+          rec.record_bytes != record_bytes[k]) {
+        throw IoError("spill record in '" + path + "' at offset " +
+                      std::to_string(offset + pos) +
+                      " does not match what was written");
+      }
+      pos += rec.record_bytes;
+      out.push_back({std::move(rec.chunk), record_bytes[k]});
+    }
+    // The batch is cold by definition (the caller just chose it as the
+    // least-needed data): hint the kernel to reclaim its pages first.
+    region->advise(MapAdvice::kDontNeed, {region->data(), region->size()});
+    return out;
+  } catch (...) {
+    // Cut the file back to where this batch started, so a torn append
+    // never sits in front of the next one.  The batch's mapping and
+    // chunks died with the try block; nothing else maps these bytes.
+    f.reset();
+    std::error_code ignored;
+    std::filesystem::resize_file(path, old_size, ignored);
+    throw;
   }
-  // Map the freshly appended record back and re-validate it through the
-  // same path an open uses: a torn or short write surfaces here, loudly,
-  // not as a corrupt stream later.
-  const ChunkSections sec = chunk_sections(chunk);
-  const std::uint64_t record_bytes = chunk_record_bytes(
-      sec.begin.size(), sec.end.size(), sec.state.size());
-  const auto region = MappedRegion::map(
-      path, offset, static_cast<std::size_t>(record_bytes));
-  return {map_chunk_record(region, 0, offset, path, state_count).chunk,
-          record_bytes};
 }
 
 std::shared_ptr<TraceStore> read_binary_trace_store(const std::string& path,

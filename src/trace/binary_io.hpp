@@ -133,26 +133,44 @@ std::uint64_t write_chunk_file(TraceStore& store, const std::string& path);
 /// Throws IoError when the file cannot be opened.
 [[nodiscard]] bool is_chunk_file(const std::string& path);
 
-/// Result of one spill append: the file-backed chunk plus the exact
-/// on-disk record size (the store's spill-occupancy accounting needs it
-/// to decide when to compact the file).
+/// One chunk to append to a spill file, with the resource its record
+/// names.
+struct SpillItem {
+  ResourceId resource = kInvalidResource;
+  const TraceChunk* chunk = nullptr;
+};
+
+/// One appended spill record: the file-backed chunk plus the exact on-disk
+/// record size (the store's spill-occupancy accounting needs it to decide
+/// when to compact the file).
 struct SpilledChunkRecord {
   TraceChunkPtr chunk;
   std::uint64_t record_bytes = 0;
 };
 
-/// Appends one chunk (raw or compressed — the record keeps the chunk's
-/// encoding) to the append-only spill file at `path` (created with the
-/// spill magic on first use; a pre-existing file must carry that magic
-/// and an 8-aligned size, or the append is refused), then maps the
-/// freshly written record back and returns the file-backed chunk — the
-/// backend swap behind TraceStore::spill_cold.  The mapped record is
-/// re-validated (against `state_count` registry entries), so a torn
-/// write fails loudly here, not at stream time.
-[[nodiscard]] SpilledChunkRecord spill_chunk_to_file(const std::string& path,
-                                                     ResourceId resource,
-                                                     const TraceChunk& chunk,
-                                                     std::uint64_t state_count);
+/// Appends a batch of chunks (raw or compressed — each record keeps its
+/// chunk's encoding) to the append-only spill file at `path` and returns
+/// their file-backed replacements in `items` order — the backend swap
+/// behind TraceStore::spill_cold and spill-file compaction.  The file is
+/// created with the spill magic on first use; a pre-existing file must
+/// carry that magic and an 8-aligned size, or the append is refused.
+///
+/// One call opens the file once, appends every record, flushes and closes
+/// once, then maps the appended range once: every chunk of the batch
+/// shares that one mapping, and each chunk's paging advice covers only
+/// its own record's pages.  Every record is re-validated through the same
+/// checks an open runs (header, checksum, full decode against
+/// `state_count` registry entries), so a torn write fails loudly here,
+/// not at stream time.  The batch's pages are then advised kDontNeed once
+/// (spilled data is cold by definition).
+///
+/// All or nothing: on any failure after the file was accepted, the file
+/// is cut back to its size before the call and the error rethrown, so no
+/// chunk of a failed batch is ever handed out and the next call appends
+/// where this one would have.  An empty batch touches nothing.
+[[nodiscard]] std::vector<SpilledChunkRecord> spill_chunks_to_file(
+    const std::string& path, std::span<const SpillItem> items,
+    std::uint64_t state_count);
 
 /// Decodes only the header and tables.
 [[nodiscard]] TraceFileInfo read_binary_trace_info(const std::string& path);

@@ -9,6 +9,7 @@
 
 #include "common/contract.hpp"
 #include "common/error.hpp"
+#include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
 #include "trace/binary_io.hpp"
 
@@ -608,6 +609,23 @@ void TraceStore::enable_spill(std::string path) {
   spill_path_ = std::move(path);
 }
 
+namespace {
+
+/// Appends `items` to `path` as one batch and counts it in `counters`.
+std::vector<SpilledChunkRecord> write_spill_batch(
+    const std::string& path, std::span<const SpillItem> items,
+    std::uint64_t state_count, TraceStore::SpillCounters& counters) {
+  const std::int64_t cpu0 = thread_cpu_ns();
+  std::vector<SpilledChunkRecord> records =
+      spill_chunks_to_file(path, items, state_count);
+  ++counters.batches;
+  counters.records += records.size();
+  counters.cpu_ns += thread_cpu_ns() - cpu0;
+  return records;
+}
+
+}  // namespace
+
 std::size_t TraceStore::spill_cold(std::size_t budget_bytes) {
   if (spill_path_.empty()) {
     throw InvalidArgument(
@@ -635,26 +653,28 @@ std::size_t TraceStore::spill_cold(std::size_t budget_bytes) {
                    [](const Candidate& a, const Candidate& b) {
                      return a.max_end < b.max_end;
                    });
-  std::size_t spilled = 0;
+  std::vector<SpillItem> items;
+  std::vector<TraceChunkPtr*> slots;
   for (const Candidate& cand : candidates) {
     if (resident <= budget_bytes) break;
     TraceChunkPtr& slot = lanes_[cand.lane].chunks[cand.index];
-    SpilledChunkRecord rec =
-        spill_chunk_to_file(spill_path_, static_cast<ResourceId>(cand.lane),
-                            *slot, states_.size());
-    spill_records_.emplace(rec.chunk->payload().get(), rec.record_bytes);
-    spill_live_bytes_ += rec.record_bytes;
-    // The freshly validated record's pages are hot but cold by definition
-    // (we just decided this chunk is the least-needed one): hint the
-    // kernel to reclaim them first.
-    rec.chunk->advise(MapAdvice::kDontNeed);
+    items.push_back({static_cast<ResourceId>(cand.lane), slot.get()});
+    slots.push_back(&slot);
     resident -= slot->stored_bytes();
-    slot = std::move(rec.chunk);
-    ++spilled;
   }
-  if (spilled != 0) ++generation_;
+  // All or nothing: the store changes only once the whole batch is
+  // written, mapped and validated.
+  std::vector<SpilledChunkRecord> records =
+      write_spill_batch(spill_path_, items, states_.size(), spill_counters_);
+  for (std::size_t k = 0; k < records.size(); ++k) {
+    spill_records_.emplace(records[k].chunk->payload().get(),
+                           records[k].record_bytes);
+    spill_live_bytes_ += records[k].record_bytes;
+    *slots[k] = std::move(records[k].chunk);
+  }
+  ++generation_;
   STAGG_AUDIT(audit());
-  return spilled;
+  return records.size();
 }
 
 std::size_t TraceStore::pin(ResourceId r) {
@@ -726,32 +746,37 @@ void TraceStore::compact_spill() {
   // pages alive as long as something maps them.
   const std::string tmp = spill_path_ + ".compact";
   std::remove(tmp.c_str());
-  std::unordered_map<const ChunkPayload*, std::size_t> rewritten;
-  std::size_t live = 0;
-  bool wrote = false;
+  std::vector<SpillItem> items;
+  std::vector<TraceChunkPtr*> slots;
   for (std::size_t r = 0; r < lanes_.size(); ++r) {
     for (TraceChunkPtr& slot : lanes_[r].chunks) {
-      if (spill_records_.find(slot->payload().get()) ==
-          spill_records_.end()) {
-        continue;
+      if (spill_records_.contains(slot->payload().get())) {
+        items.push_back({static_cast<ResourceId>(r), slot.get()});
+        slots.push_back(&slot);
       }
-      SpilledChunkRecord rec = spill_chunk_to_file(
-          tmp, static_cast<ResourceId>(r), *slot, states_.size());
-      rewritten.emplace(rec.chunk->payload().get(), rec.record_bytes);
-      live += rec.record_bytes;
-      rec.chunk->advise(MapAdvice::kDontNeed);
-      slot = std::move(rec.chunk);
-      wrote = true;
     }
   }
-  if (wrote) {
+  std::vector<SpilledChunkRecord> records;
+  if (!items.empty()) {
+    records = write_spill_batch(tmp, items, states_.size(), spill_counters_);
     if (std::rename(tmp.c_str(), spill_path_.c_str()) != 0) {
+      records.clear();  // unmaps the batch before its file goes
+      std::remove(tmp.c_str());
       throw IoError("cannot rename '" + tmp + "' to '" + spill_path_ + "'");
     }
   } else {
     // Nothing live: the whole file was churn.  Drop it; the next spill
     // recreates it from the magic up.
     std::remove(spill_path_.c_str());
+  }
+  // All or nothing: slots and accounting change only after the rename.
+  std::unordered_map<const ChunkPayload*, std::size_t> rewritten;
+  std::size_t live = 0;
+  for (std::size_t k = 0; k < records.size(); ++k) {
+    rewritten.emplace(records[k].chunk->payload().get(),
+                      records[k].record_bytes);
+    live += records[k].record_bytes;
+    *slots[k] = std::move(records[k].chunk);
   }
   spill_records_ = std::move(rewritten);
   spill_live_bytes_ = live;

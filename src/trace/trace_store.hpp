@@ -152,17 +152,21 @@ class ResidentChunkPayload final : public ChunkPayload {
 };
 
 /// File-backed backend: columns point into a chunk-file record mapped by a
-/// shared MappedRegion (binary_io.hpp owns the on-disk format and builds
-/// these after validating section bounds, checksum and sort order).  The
-/// payload keeps its region alive, so a chunk stays readable after the
-/// store unlinks it — or even after the spill file is unlinked.
+/// MappedRegion that the other records of the same file or spill batch
+/// share (binary_io.hpp owns the on-disk format and builds these after
+/// validating section bounds, checksum and sort order).  `record` is this
+/// chunk's own bytes in the mapping, so paging advice covers only its
+/// pages.  The payload keeps its region alive, so a chunk stays readable
+/// after the store unlinks it — or even after the spill file is unlinked.
 class MappedChunkPayload final : public ChunkPayload {
  public:
   MappedChunkPayload(std::shared_ptr<const MappedRegion> region,
+                     std::span<const std::uint8_t> record,
                      std::span<const TimeNs> begins,
                      std::span<const TimeNs> ends,
                      std::span<const StateId> states) noexcept
       : region_(std::move(region)),
+        record_(record),
         begins_(begins),
         ends_(ends),
         states_(states) {}
@@ -181,11 +185,12 @@ class MappedChunkPayload final : public ChunkPayload {
   }
   [[nodiscard]] bool resident() const noexcept override { return false; }
   void advise(MapAdvice advice) const noexcept override {
-    region_->advise(advice);
+    region_->advise(advice, record_);
   }
 
  private:
   std::shared_ptr<const MappedRegion> region_;
+  std::span<const std::uint8_t> record_;
   std::span<const TimeNs> begins_;
   std::span<const TimeNs> ends_;
   std::span<const StateId> states_;
@@ -221,11 +226,13 @@ class CompressedChunkPayload final : public ChunkPayload {
         static_cast<std::size_t>(encoded.state_bytes));
   }
 
-  /// Compressed file-backed: the coding's sections point into `region`
-  /// (binary_io validates the record before building one of these).
+  /// Compressed file-backed: the coding's sections point into `record`,
+  /// this chunk's bytes in `region` (binary_io validates the record
+  /// before building one of these).
   CompressedChunkPayload(std::shared_ptr<const MappedRegion> region,
+                         std::span<const std::uint8_t> record,
                          const ColumnsCoding& coding) noexcept
-      : region_(std::move(region)), coding_(coding) {}
+      : region_(std::move(region)), record_(record), coding_(coding) {}
 
   [[nodiscard]] std::span<const TimeNs> begins() const noexcept override {
     return {};
@@ -247,7 +254,7 @@ class CompressedChunkPayload final : public ChunkPayload {
     return coding_.encoded_bytes();
   }
   void advise(MapAdvice advice) const noexcept override {
-    if (region_ != nullptr) region_->advise(advice);
+    if (region_ != nullptr) region_->advise(advice, record_);
   }
 
   [[nodiscard]] const ColumnsCoding& coding() const noexcept {
@@ -256,9 +263,11 @@ class CompressedChunkPayload final : public ChunkPayload {
 
  private:
   /// Exactly one of these backs the sections: the owned buffer
-  /// (resident) or the mapped region (file-backed).
+  /// (resident) or the mapped region (file-backed), of which `record_`
+  /// is this chunk's part.
   std::vector<std::uint8_t> owned_;
   std::shared_ptr<const MappedRegion> region_;
+  std::span<const std::uint8_t> record_;
   ColumnsCoding coding_;
 };
 
@@ -613,11 +622,14 @@ class TraceStore {
   /// Spills the coldest resident sealed chunks — ascending fence max-end,
   /// an LRU over trace time, so data below or just above the oldest live
   /// window goes first — until resident_chunk_bytes() <= budget_bytes or
-  /// no resident chunk is left.  Each spilled chunk is appended to the
-  /// spill file and its lane slot swapped to a file-backed (mmap) payload;
-  /// outstanding views keep streaming the old resident chunk they pinned.
-  /// Returns the number of chunks spilled.  Throws InvalidArgument when
-  /// spill is not enabled.
+  /// no resident chunk is left.  The chosen chunks are appended to the
+  /// spill file as one batch sharing one mapping (spill_chunks_to_file),
+  /// and only then are their lane slots swapped to file-backed (mmap)
+  /// payloads; outstanding views keep streaming the old resident chunks
+  /// they pinned.  All or nothing: when the batch fails (IoError,
+  /// TraceFormatError) no slot and no accounting changes.  Returns the
+  /// number of chunks spilled.  Throws InvalidArgument when spill is not
+  /// enabled.
   std::size_t spill_cold(std::size_t budget_bytes);
 
   /// Swaps every spilled chunk of resource r back to a resident copy
@@ -637,8 +649,10 @@ class TraceStore {
   /// Spill-file occupancy: bytes of records whose chunks are still linked
   /// in a lane vs records orphaned by pin/evict/compaction churn.  Once
   /// dead bytes exceed live bytes the store compacts the file (temp +
-  /// rename, like chunk-file writes), remapping the live records — so the
-  /// file stays bounded by ~2x the live spilled set.  Outstanding views
+  /// rename, like chunk-file writes), rewriting the live records as one
+  /// batch and swapping them in only after the rename — so the file stays
+  /// bounded by ~2x the live spilled set, and a failed compaction throws
+  /// IoError with the store unchanged.  Outstanding views
   /// keep reading their old mappings (POSIX keeps renamed-over pages
   /// alive).
   [[nodiscard]] std::size_t spill_live_bytes() const noexcept {
@@ -646,6 +660,19 @@ class TraceStore {
   }
   [[nodiscard]] std::size_t spill_dead_bytes() const noexcept {
     return spill_dead_bytes_;
+  }
+
+  /// Cumulative spill-file writes: batches appended (one per spill_cold
+  /// or compaction that wrote anything), records written, and the calling
+  /// thread's CPU time spent writing, mapping and validating them.
+  /// Failed batches are not counted.
+  struct SpillCounters {
+    std::uint64_t batches = 0;
+    std::uint64_t records = 0;
+    std::int64_t cpu_ns = 0;
+  };
+  [[nodiscard]] const SpillCounters& spill_counters() const noexcept {
+    return spill_counters_;
   }
 
   /// Structural audit: re-derives every invariant the readers rely on and
@@ -730,6 +757,7 @@ class TraceStore {
   std::unordered_map<const ChunkPayload*, std::size_t> spill_records_;
   std::size_t spill_live_bytes_ = 0;
   std::size_t spill_dead_bytes_ = 0;
+  SpillCounters spill_counters_;
   ChunkCompression compression_ = ChunkCompression::kNone;
 
   /// Copy-on-write: cloned before mutation whenever pinned by a view (or

@@ -22,7 +22,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -822,6 +825,199 @@ TEST(TraceStoreSpill, SpillRefusesForeignOrMisalignedFiles) {
   t.store()->enable_spill(foreign);
   EXPECT_THROW((void)t.store()->spill_cold(0), IoError);
   std::remove(foreign.c_str());
+}
+
+/// Store of `lanes` resources sealed `rounds` times, one chunk per lane per
+/// seal (`rounds` stays under the compaction threshold, so every chunk
+/// survives).
+Trace make_laned_trace(int lanes, int rounds, std::uint64_t seed) {
+  Trace t;
+  const StateId states[] = {t.states().intern("a"), t.states().intern("b")};
+  for (int lane = 0; lane < lanes; ++lane) {
+    (void)t.add_resource("lane" + std::to_string(lane));
+  }
+  SplitMix64 mix(seed);
+  for (int round = 0; round < rounds; ++round) {
+    for (ResourceId r = 0; r < lanes; ++r) {
+      for (int k = 0; k < 6; ++k) {
+        const auto b = round * 1000 + static_cast<TimeNs>(mix.next() % 1000);
+        t.add_state(r, states[mix.next() % 2], b,
+                    b + static_cast<TimeNs>(mix.next() % 300));
+      }
+    }
+    t.seal();
+  }
+  return t;
+}
+
+std::vector<std::vector<StateInterval>> all_intervals(const Trace& t) {
+  std::vector<std::vector<StateInterval>> rows;
+  for (ResourceId r = 0; r < static_cast<ResourceId>(t.resource_count());
+       ++r) {
+    const auto row = t.intervals(r);
+    rows.emplace_back(row.begin(), row.end());
+  }
+  return rows;
+}
+
+/// Payload identity of every chunk slot, lane by lane.
+std::vector<const ChunkPayload*> chunk_payloads(const TraceStore& store) {
+  std::vector<const ChunkPayload*> out;
+  for (ResourceId r = 0; r < static_cast<ResourceId>(store.resource_count());
+       ++r) {
+    for (const TraceChunkPtr& c : store.chunks(r)) {
+      out.push_back(c->payload().get());
+    }
+  }
+  return out;
+}
+
+TEST(TraceStoreSpill, FailedSpillLeavesStoreUnchanged) {
+  // A spill that fails — a foreign file where the spill file should be,
+  // or an obstacle where compaction writes its temp file — throws IoError
+  // and leaves the store as it was: no slot swapped, the spill accounting
+  // unchanged, audit() green, every row intact.  Removing the obstacle
+  // lets the next call succeed.
+  Trace t = make_laned_trace(/*lanes=*/4, /*rounds=*/15, 0x5F);
+  TraceStore& store = *t.store();
+  ASSERT_GE(chunk_payloads(store).size(), 50u);
+  const auto rows = all_intervals(t);
+  const std::string spill = spill_path("failed");
+  const std::string moved = spill + ".moved";
+  const std::string obstacle = spill + ".compact";
+  const auto cleanup = [&] {
+    std::remove(spill.c_str());
+    std::remove(moved.c_str());
+    std::error_code ignored;
+    std::filesystem::remove_all(obstacle, ignored);
+  };
+  cleanup();
+  store.enable_spill(spill);
+
+  struct Snapshot {
+    std::vector<const ChunkPayload*> payloads;
+    std::size_t live;
+    std::size_t dead;
+  };
+  const auto snapshot = [&] {
+    return Snapshot{chunk_payloads(store), store.spill_live_bytes(),
+                    store.spill_dead_bytes()};
+  };
+  const auto expect_unchanged = [&](const Snapshot& before,
+                                    const char* what) {
+    EXPECT_EQ(chunk_payloads(store), before.payloads) << what;
+    EXPECT_EQ(store.spill_live_bytes(), before.live) << what;
+    EXPECT_EQ(store.spill_dead_bytes(), before.dead) << what;
+    EXPECT_NO_THROW(store.audit()) << what;
+    EXPECT_EQ(all_intervals(t), rows) << what;
+  };
+
+  // Half the chunks spill normally; then the spill file is moved away (its
+  // mapping keeps those records readable) and a foreign file takes its
+  // place.
+  ASSERT_GT(store.spill_cold(store.resident_chunk_bytes() / 2), 0u);
+  ASSERT_GT(store.spill_live_bytes(), 0u);
+  ASSERT_EQ(std::rename(spill.c_str(), moved.c_str()), 0);
+  const std::string foreign = "definitely not a spill file";
+  {
+    std::ofstream out(spill, std::ios::binary | std::ios::trunc);
+    out << foreign;
+  }
+  const Snapshot before_spill = snapshot();
+  EXPECT_THROW((void)store.spill_cold(0), IoError);
+  expect_unchanged(before_spill, "failed spill_cold");
+  {
+    std::ifstream in(spill, std::ios::binary);
+    const std::string kept((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_EQ(kept, foreign) << "a refused spill must not touch the file";
+  }
+  std::remove(spill.c_str());
+  EXPECT_GT(store.spill_cold(0), 0u);
+  EXPECT_EQ(store.resident_chunk_bytes(), 0u);
+  EXPECT_NO_THROW(store.audit());
+  EXPECT_EQ(all_intervals(t), rows);
+
+  // Compaction: a non-empty directory sits where the temp file goes.  Pin
+  // lanes until dead bytes overtake live ones; that pin's compaction
+  // fails after the pin itself completed.
+  ASSERT_TRUE(std::filesystem::create_directory(obstacle));
+  { std::ofstream(obstacle + "/keep") << "x"; }
+  bool threw = false;
+  for (ResourceId r = 0; r < 4 && !threw; ++r) {
+    try {
+      (void)store.pin(r);
+    } catch (const IoError&) {
+      threw = true;
+    }
+  }
+  ASSERT_TRUE(threw);
+  EXPECT_GT(store.spill_dead_bytes(), store.spill_live_bytes());
+  EXPECT_NO_THROW(store.audit());
+  EXPECT_EQ(all_intervals(t), rows);
+  // An eviction that drops nothing only retries the compaction: it fails
+  // the same way and changes nothing.
+  const Snapshot before_compaction = snapshot();
+  EXPECT_THROW(store.evict_before(std::numeric_limits<TimeNs>::min()),
+               IoError);
+  expect_unchanged(before_compaction, "failed compaction");
+
+  std::filesystem::remove_all(obstacle);
+  EXPECT_NO_THROW(store.evict_before(std::numeric_limits<TimeNs>::min()));
+  EXPECT_EQ(store.spill_dead_bytes(), 0u);
+  EXPECT_GT(store.spill_live_bytes(), 0u);
+  EXPECT_NO_THROW(store.audit());
+  EXPECT_EQ(all_intervals(t), rows);
+  cleanup();
+}
+
+#if defined(__linux__)
+/// Lines of /proc/self/maps naming `file`; with `linked_only`, only those
+/// whose file is still linked.
+std::size_t count_mappings(const std::string& file, bool linked_only) {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t n = 0;
+  for (std::string line; std::getline(maps, line);) {
+    if (line.find(file) == std::string::npos) continue;
+    if (linked_only && line.find("(deleted)") != std::string::npos) continue;
+    ++n;
+  }
+  return n;
+}
+#endif
+
+TEST(TraceStoreSpill, OneMappingPerSpillCall) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "counts mappings through /proc/self/maps";
+#else
+  // One spill_cold call maps its whole batch once, and a compaction maps
+  // its rewrite once — not one mapping per chunk.
+  Trace t = make_laned_trace(/*lanes=*/24, /*rounds=*/10, 0x6A);
+  TraceStore& store = *t.store();
+  const auto rows = all_intervals(t);
+  const std::string spill = spill_path("maps");
+  std::remove(spill.c_str());
+  store.enable_spill(spill);
+
+  const std::size_t before = count_mappings(spill, false);
+  EXPECT_GE(store.spill_cold(0), 200u);
+  EXPECT_LE(count_mappings(spill, false), before + 1);
+  EXPECT_EQ(store.spill_counters().batches, 1u);
+
+  // Pin lanes until dead bytes overtake live ones: that pin's compaction
+  // rewrites every live record into the renamed-over file.
+  const std::uint64_t records = store.spill_counters().records;
+  for (ResourceId r = 0; store.spill_counters().batches == 1; ++r) {
+    ASSERT_LT(r, 24);
+    (void)store.pin(r);
+  }
+  EXPECT_EQ(store.spill_counters().batches, 2u);
+  EXPECT_GE(store.spill_counters().records - records, 100u);
+  EXPECT_LE(count_mappings(spill, /*linked_only=*/true), 1u);
+  EXPECT_NO_THROW(store.audit());
+  EXPECT_EQ(all_intervals(t), rows);
+  std::remove(spill.c_str());
+#endif
 }
 
 // ---------------------------------------------------------------------------
